@@ -9,6 +9,7 @@ first waypoint anchors the present).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -273,6 +274,38 @@ def _validate_candidate_grid(candidates: Sequence[Sequence[Trajectory]]) -> int:
     return k
 
 
+# Pairs per grid call in interaction_tables. The SAT grid of one pair holds
+# K*K*(T-1)*8 floats, so this bounds peak memory, not just speed.
+PAIR_BATCH = 8
+
+
+def _reach_pairs(fut_pos: np.ndarray, boxes: Sequence[BoxDims],
+                 d_safe: float) -> np.ndarray:
+    """Unordered pairs (i < j), shape (P, 2), that can have non-zero energy,
+    from future candidate centres ``fut_pos`` of shape (M, K, T-1, 2).
+
+    A pair is dropped when the axis-aligned bounding boxes of the two actors'
+    future candidate centres are at least d_safe + r_i + r_j apart (r is the
+    box circumradius, plus 1e-6 against rounding). Collision then needs centres
+    within r_i + r_j, and safety in either direction centres closer than
+    d_safe + r_j, so both energies are exactly zero.
+    """
+    fut = fut_pos.reshape(len(fut_pos), -1, 2)
+    lo, hi = fut.min(axis=1), fut.max(axis=1)                   # (M, 2)
+    gap = np.maximum(0.0, np.maximum(lo[None] - hi[:, None],
+                                     lo[:, None] - hi[None]))   # (M, M, 2)
+    radius = np.array([math.hypot(*b) for b in boxes])
+    reach = d_safe + radius[:, None] + radius[None, :] + 1e-6
+    near = np.hypot(gap[..., 0], gap[..., 1]) < reach
+    return np.argwhere(np.triu(near, 1))
+
+
+def _batched_dims(boxes: Sequence[BoxDims], idx: np.ndarray, ndim: int):
+    """Half extents of actors ``idx``, each shaped (P,) + (1,) * (ndim - 1)."""
+    dims = np.array([boxes[x] for x in idx]).T
+    return dims.reshape((2, len(idx)) + (1,) * (ndim - 1))
+
+
 def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
                        boxes: Sequence[BoxDims],
                        gamma: float, d_safe: float) -> np.ndarray:
@@ -280,7 +313,9 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
 
     The collision part is filled symmetrically under (i, a, j, b) <->
     (j, b, i, a); the safety part is evaluated per ordered pair and is
-    generally asymmetric.
+    generally asymmetric. Pairs that cannot come within reach of each other
+    (see ``_reach_pairs``) keep exact zero blocks; the others are evaluated
+    PAIR_BATCH pairs per grid call.
     """
     m = len(candidates)
     k = _validate_candidate_grid(candidates)
@@ -289,24 +324,24 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
     speeds = np.stack([np.stack([c.speeds for c in cands]) for cands in candidates])
 
     pairwise = np.zeros((m, m, k, k))
-    fut = slice(1, None)
-    for i in range(m):
-        for j in range(i + 1, m):
-            hit = boxes_overlap_grid(
-                pos[i][:, None, fut, :], heads[i][:, None, fut], boxes[i],
-                pos[j][None, :, fut, :], heads[j][None, :, fut], boxes[j])
-            coll = gamma * np.any(hit, axis=-1)
-            pairwise[i, j] += coll
-            pairwise[j, i] += coll.T
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            dist = point_to_box_distance_grid(
-                pos[i][:, None, fut, :],
-                pos[j][None, :, fut, :], heads[j][None, :, fut], boxes[j])
-            pen = np.maximum(0.0, d_safe - dist)
-            pairwise[i, j] += np.einsum("at,abt->ab", speeds[i][:, fut], pen ** 2)
+    pos, heads, speeds = pos[:, :, 1:], heads[:, :, 1:], speeds[:, :, 1:]
+    pairs = _reach_pairs(pos, boxes, d_safe)
+    for start in range(0, len(pairs), PAIR_BATCH):
+        i, j = pairs[start:start + PAIR_BATCH].T
+        hit = boxes_overlap_grid(
+            pos[i][:, :, None], heads[i][:, :, None], _batched_dims(boxes, i, 5),
+            pos[j][:, None], heads[j][:, None], _batched_dims(boxes, j, 5))
+        coll = gamma * np.any(hit, axis=-1)
+        pairwise[i, j] += coll
+        pairwise[j, i] += coll.transpose(0, 2, 1)
+    ordered = np.concatenate([pairs, pairs[:, ::-1]])
+    for start in range(0, len(ordered), PAIR_BATCH):
+        i, j = ordered[start:start + PAIR_BATCH].T
+        dist = point_to_box_distance_grid(
+            pos[i][:, :, None], pos[j][:, None], heads[j][:, None],
+            _batched_dims(boxes, j, 4))
+        pen = np.maximum(0.0, d_safe - dist)
+        pairwise[i, j] += np.einsum("pat,pabt->pab", speeds[i], pen ** 2)
     return pairwise
 
 

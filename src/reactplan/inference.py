@@ -1,10 +1,13 @@
-"""Marginal inference on the fully connected pairwise model over candidates.
+"""Marginal inference on the pairwise model over candidates.
 
 Sum-product message passing runs in the log domain with damped synchronous
 updates on a fixed schedule, so a run is deterministic given tables and
-config. The same engine optionally propagates forward-mode tangents of the
-node potentials, which is how training differentiates through the fixed
-number of iterations. An exact enumeration oracle covers small instances.
+config. Messages travel only between actors whose combined pairwise block
+holds a non-zero energy: an identically zero block is a constant factor whose
+messages are uniform, so dropping its edge changes no belief beyond rounding.
+The same engine optionally propagates forward-mode tangents of the node
+potentials, which is how training differentiates through the fixed number of
+iterations. An exact enumeration oracle covers small instances.
 
 Conventions: node potential of actor i is exp(-unary[i]); the edge factor of
 the unordered pair {i, j} combines both stored directions,
@@ -101,22 +104,32 @@ class _EngineResult:
     d_log_pairwise: np.ndarray | None = None
 
 
-def _zero_diag(arr: np.ndarray) -> None:
-    idx = np.arange(arr.shape[-3])
-    if arr.ndim == 3:        # (M, M, K)
-        arr[idx, idx, :] = 0.0
-    else:                    # (P, M, M, K)
-        arr[:, idx, idx, :] = 0.0
+def _edge_list(log_edge: np.ndarray):
+    """Directed edges (src, dst, reverse index) of the pairs whose combined
+    block holds a non-zero entry, in row-major order of (src, dst)."""
+    m_nodes = log_edge.shape[0]
+    active = np.any(log_edge != 0.0, axis=(2, 3))
+    active = (active | active.T) & ~np.eye(m_nodes, dtype=bool)
+    src, dst = np.nonzero(active)
+    eid = np.zeros((m_nodes, m_nodes), dtype=int)
+    eid[src, dst] = np.arange(len(src))
+    return src, dst, eid[dst, src]
 
 
 def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
              node_dot: np.ndarray | None = None) -> _EngineResult:
-    """Damped synchronous sum-product message passing.
+    """Damped synchronous sum-product message passing over the active edges.
 
     Messages m[i -> j](b) are proportional to
     sum_a exp(log_node[i, a] + log_edge[i, j, a, b]) * prod_{k != j} m[k -> i](a),
     mixed with the previous value as m <- damping * m_old + (1 - damping) * m_new
     (computed stably in the log domain) and renormalized each pass.
+
+    Only pairs whose block of ``log_edge`` (in either direction) holds a
+    non-zero entry carry messages, so an iteration costs O(E K^2) for E
+    directed edges. A zero block sends a uniform message, which normalizes
+    away, so dropping it changes no belief beyond rounding; the pairwise
+    belief of such a pair is the product of its two node marginals.
 
     With ``node_dot`` of shape (P, M, K), tangents of the log beliefs with
     respect to P scalar directions are propagated through every update; this
@@ -127,11 +140,14 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     if want_dot and not cfg.fixed_iterations:
         raise ValueError("tangent propagation requires fixed_iterations")
 
-    lm = np.full((m_nodes, m_nodes, k), -math.log(k))
-    _zero_diag(lm)
-    dlm = None
-    if want_dot:
-        dlm = np.zeros((node_dot.shape[0],) + lm.shape)
+    src, dst, rev = _edge_list(log_edge)
+    n_edges = len(src)
+    le = log_edge[src, dst]                                     # (E, K, K)
+    incidence = np.zeros((m_nodes, n_edges))                    # node <- edge
+    incidence[dst, np.arange(n_edges)] = 1.0
+
+    lm = np.full((n_edges, k), -math.log(k))
+    dlm = np.zeros((node_dot.shape[0], n_edges, k)) if want_dot else None
 
     log_d = math.log(cfg.damping) if cfg.damping > 0 else -np.inf
     log_1md = math.log1p(-cfg.damping)
@@ -141,25 +157,20 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
 
     for _ in range(cfg.max_iters):
         iters_used += 1
-        s_in = lm.sum(axis=0)                                   # (M, K)
-        pre = log_node + s_in
-        g = pre[:, None, :] - lm.transpose(1, 0, 2)             # (M, M, K)
-        x = g[:, :, :, None] + log_edge                         # (M, M, K, K)
-        w = _softmax(x, axis=2)
-        new = _lse(x, axis=2)                                   # (M, M, K) over b
-        z = _lse(new, axis=2, keepdims=True)
-        new = new - z
-        _zero_diag(new)
+        pre = log_node + incidence @ lm                         # (M, K)
+        g = pre[src] - lm[rev]                                  # (E, K) over a
+        x = g[:, :, None] + le                                  # (E, K, K)
+        new = _lse(x, axis=1)                                   # (E, K) over b
+        new = new - _lse(new, axis=1, keepdims=True)
 
         if want_dot:
-            ds = dlm.sum(axis=1)                                # (P, M, K)
-            dpre = node_dot + ds
-            dg = dpre[:, :, None, :] - dlm.transpose(0, 2, 1, 3)
-            dnew = np.einsum("ijab,pija->pijb", w, dg)
+            w = _softmax(x, axis=1)
+            dpre = node_dot + incidence @ dlm                   # (P, M, K)
+            dg = dpre[:, src] - dlm[:, rev]
+            dnew = np.einsum("eab,pea->peb", w, dg)
             # normalizer tangent; softmax is shift-invariant so the
             # normalized messages give the same weights
-            dnew = dnew - np.einsum("ijb,pijb->pij", _softmax(new, axis=2), dnew)[..., None]
-            _zero_diag(dnew)
+            dnew = dnew - np.einsum("eb,peb->pe", _softmax(new, axis=1), dnew)[..., None]
 
         if cfg.damping > 0:
             u = log_d + lm
@@ -169,18 +180,15 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
                 wu = np.exp(u - mixed)
                 wv = np.exp(v - mixed)
                 dmixed = wu[None] * dlm + wv[None] * dnew
-            zmix = _lse(mixed, axis=2, keepdims=True)
-            mixed = mixed - zmix
-            _zero_diag(mixed)
+            mixed = mixed - _lse(mixed, axis=1, keepdims=True)
             if want_dot:
                 dmixed = dmixed - np.einsum(
-                    "ijb,pijb->pij", _softmax(mixed, axis=2), dmixed)[..., None]
-                _zero_diag(dmixed)
+                    "eb,peb->pe", _softmax(mixed, axis=1), dmixed)[..., None]
         else:
             mixed = new
             dmixed = dnew if want_dot else None
 
-        residual = float(np.max(np.abs(np.exp(mixed) - np.exp(lm))))
+        residual = float(np.max(np.abs(np.exp(mixed) - np.exp(lm)))) if n_edges else 0.0
         residuals.append(residual)
         lm = mixed
         if want_dot:
@@ -191,30 +199,29 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     else:
         converged = residuals[-1] < cfg.tol if residuals else False
 
-    if not np.all(np.isfinite(lm)):
+    pre = log_node + incidence @ lm
+    log_z = _lse(pre, axis=1, keepdims=True)
+    if not (np.all(np.isfinite(lm)) and np.all(np.isfinite(log_z))):
         raise NumericalFailure("non-finite message encountered")
-
-    s_in = lm.sum(axis=0)
-    pre = log_node + s_in
-    log_marg = pre - _lse(pre, axis=1, keepdims=True)
-    g = pre[:, None, :] - lm.transpose(1, 0, 2)
-    lpb = g[:, :, :, None] + g.transpose(1, 0, 2)[:, :, None, :] + log_edge
-    zpb = _lse(lpb.reshape(m_nodes, m_nodes, -1), axis=2).reshape(m_nodes, m_nodes, 1, 1)
-    lpb = lpb - zpb
+    log_marg = pre - log_z
+    g = pre[src] - lm[rev]
+    edge_pb = g[:, :, None] + g[rev][:, None, :] + le           # (E, K, K)
+    edge_pb = edge_pb - _lse(edge_pb.reshape(n_edges, k * k), axis=1)[:, None, None]
+    lpb = log_marg[:, None, :, None] + log_marg[None, :, None, :]
+    lpb[src, dst] = edge_pb
     idx = np.arange(m_nodes)
     lpb[idx, idx] = 0.0
 
     d_log_marg = d_lpb = None
     if want_dot:
-        ds = dlm.sum(axis=1)
-        dpre = node_dot + ds
+        dpre = node_dot + incidence @ dlm
         d_log_marg = dpre - np.einsum("ia,pia->pi", _softmax(pre, axis=1), dpre)[..., None]
-        dg = dpre[:, :, None, :] - dlm.transpose(0, 2, 1, 3)
-        d_lpb = dg[:, :, :, :, None] + dg.transpose(0, 2, 1, 3)[:, :, :, None, :]
-        wpb = _softmax(lpb.reshape(m_nodes, m_nodes, -1), axis=2)
-        corr = np.einsum("ijc,pijc->pij", wpb,
-                         d_lpb.reshape(d_lpb.shape[0], m_nodes, m_nodes, -1))
-        d_lpb = d_lpb - corr[:, :, :, None, None]
+        dg = dpre[:, src] - dlm[:, rev]
+        d_edge = dg[:, :, :, None] + dg[:, rev][:, :, None, :]
+        wpb = _softmax(edge_pb.reshape(n_edges, k * k), axis=1)
+        corr = np.einsum("ec,pec->pe", wpb, d_edge.reshape(d_edge.shape[:2] + (k * k,)))
+        d_lpb = d_log_marg[:, :, None, :, None] + d_log_marg[:, None, :, None, :]
+        d_lpb[:, src, dst] = d_edge - corr[:, :, None, None]
         d_lpb[:, idx, idx] = 0.0
 
     return _EngineResult(log_marginals=log_marg, log_pairwise=lpb,

@@ -325,6 +325,10 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
     """Scenes whose ground-truth future is the candidate that best follows the
     assigned lane at the reference speed (minimal lateral offset plus terminal
     speed deviation)."""
+    # Vehicle a starts 15 + 45 a + U(0, 10) m along the lane. The lane ends
+    # 70 m past the latest start, beyond the 52.5 m a default horizon covers
+    # at v_max, so no start is clamped to the lane's end.
+    lane_length = max(140.0, 45.0 * n_actors + 50.0)
     examples = []
     for idx in range(n_examples):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
@@ -332,7 +336,7 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
         direction = np.array([math.cos(phi), math.sin(phi)])
         normal = np.array([-math.sin(phi), math.cos(phi)])
         origin = rng.uniform(-20.0, 20.0, size=2)
-        lane = Polyline([origin, origin + 140.0 * direction])
+        lane = Polyline([origin, origin + lane_length * direction])
         ex_seed = int(rng.integers(0, 2 ** 31))
 
         pasts, futures, lanes, refs, boxes = [], [], [], [], []

@@ -14,6 +14,7 @@ probability model that produces the predictions.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ from .inference import (LbpConfig, MarginalSet, conditional_marginals, lbp,
 from .sampler import Trajectory, trajectory_l2
 
 VARIANTS = ("reactive", "nonreactive", "interpolated")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -156,28 +159,20 @@ def interpolated_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
     return ego + inter + actor + goal
 
 
-def evaluate_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
-                       cfg: PlannerConfig,
-                       ego_candidates: list[Trajectory] | None = None) -> float:
-    if cfg.variant == "reactive":
-        return reactive_objective(tables, ms, a0, cfg)
-    if cfg.variant == "nonreactive":
-        return nonreactive_objective(tables, ms, a0, cfg)
-    if ego_candidates is None:
-        raise ValueError("interpolated variant needs the ego candidates")
-    return interpolated_objective(tables, ms, a0, cfg.set_size, cfg, ego_candidates)
-
-
 def plan(ego_candidates: list[Trajectory], tables: EnergyTables,
          cfg: PlannerConfig) -> PlanResult:
     """One inference pass, all K candidates scored, argmin returned.
 
     A candidate whose conditional is degenerate (its own marginal mass is
     below epsilon) gets an infinite objective instead of aborting the cycle;
-    at least one candidate always has mass >= 1/K and stays finite.
+    at least one candidate always has mass >= 1/K and stays finite. Beliefs
+    from a run that stopped without converging are still used, with a warning.
     """
     k = tables.k
     ms = lbp(tables, cfg.lbp)
+    if not ms.converged:
+        logger.warning("LBP did not converge: %d iterations, final residual %.3g",
+                       ms.iters_used, ms.residuals[-1])
     values = np.empty(k)
     ego = np.empty(k)
     inter = np.empty(k)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import BoxDims, EnergyParams, build_tables
-from .errors import InfeasiblePerturbation
+from .errors import InfeasiblePerturbation, InvalidScenario
 from .geometry import OrientedBox, Pose2, boxes_overlap, point_to_box_distance
 from .planner import PlannerConfig, plan
 from .sampler import KinematicState, SamplerConfig, sample_candidates
@@ -305,7 +305,7 @@ def perturb_scenario(scenario: Scenario, rng: np.random.Generator,
         candidate = replace(scenario, actors=tuple(actors))
         try:
             candidate.validate()
-        except Exception:
+        except InvalidScenario:
             continue
         return candidate
     raise InfeasiblePerturbation(

@@ -4,7 +4,9 @@ import math
 import numpy as np
 
 from reactplan.energy import BoxDims, EnergyTables
-from reactplan.geometry import OrientedBox, Polyline, Pose2
+from reactplan.geometry import (OrientedBox, Polyline, Pose2, boxes_overlap_grid,
+                                point_to_box_distance_grid)
+from reactplan.inference import _lse, _softmax
 from reactplan.sampler import KinematicState, SamplerConfig, Trajectory, sample_candidates
 
 
@@ -134,14 +136,15 @@ def random_box(rng, half_max=0.5, span=1.5) -> OrientedBox:
                        half_width=rng.uniform(0.1, half_max))
 
 
-def random_scene(rng, n_actors=2, k=3, steps=6, dt=0.5):
-    """Random candidate sets plus feature/interaction context for table tests."""
+def random_scene(rng, n_actors=2, k=3, steps=6, dt=0.5, span=10.0):
+    """Random candidate sets plus feature/interaction context for table tests;
+    actors start uniformly within ``span`` m of the origin in x and y."""
     candidates = []
     boxes = []
     lanes = []
     refs = []
     for _ in range(n_actors + 1):
-        pose = Pose2(rng.uniform(-10, 10), rng.uniform(-10, 10),
+        pose = Pose2(rng.uniform(-span, span), rng.uniform(-span, span),
                      rng.uniform(-math.pi, math.pi))
         state = KinematicState(pose=pose, speed=rng.uniform(0, 10))
         cfg = SamplerConfig(k=k, horizon_steps=steps, dt=dt,
@@ -153,3 +156,119 @@ def random_scene(rng, n_actors=2, k=3, steps=6, dt=0.5):
         lanes.append(Polyline([origin - 30 * direction, origin + 60 * direction]))
         refs.append(rng.uniform(3, 10))
     return candidates, boxes, lanes, refs
+
+
+def _zero_diag(arr: np.ndarray) -> None:
+    idx = np.arange(arr.shape[-3])
+    if arr.ndim == 3:        # (M, M, K)
+        arr[idx, idx, :] = 0.0
+    else:                    # (P, M, M, K)
+        arr[:, idx, idx, :] = 0.0
+
+
+def dense_lbp_pass(log_node, log_edge, cfg, node_dot=None):
+    """Reference message passing on the fully connected graph.
+
+    Every ordered pair carries a message, zero blocks included, so an
+    iteration costs O(M^2 K^2). Returns (log_marginals, log_pairwise,
+    converged, iters_used, residuals, d_log_marginals, d_log_pairwise).
+    """
+    m_nodes, k = log_node.shape
+    want_dot = node_dot is not None
+    lm = np.full((m_nodes, m_nodes, k), -math.log(k))
+    _zero_diag(lm)
+    dlm = np.zeros((node_dot.shape[0],) + lm.shape) if want_dot else None
+    log_d = math.log(cfg.damping) if cfg.damping > 0 else -np.inf
+    log_1md = math.log1p(-cfg.damping)
+    residuals = []
+    converged = False
+    iters_used = 0
+    for _ in range(cfg.max_iters):
+        iters_used += 1
+        pre = log_node + lm.sum(axis=0)
+        g = pre[:, None, :] - lm.transpose(1, 0, 2)
+        x = g[:, :, :, None] + log_edge
+        w = _softmax(x, axis=2)
+        new = _lse(x, axis=2)
+        new = new - _lse(new, axis=2, keepdims=True)
+        _zero_diag(new)
+        if want_dot:
+            dpre = node_dot + dlm.sum(axis=1)
+            dg = dpre[:, :, None, :] - dlm.transpose(0, 2, 1, 3)
+            dnew = np.einsum("ijab,pija->pijb", w, dg)
+            dnew = dnew - np.einsum("ijb,pijb->pij", _softmax(new, axis=2), dnew)[..., None]
+            _zero_diag(dnew)
+        if cfg.damping > 0:
+            u = log_d + lm
+            v = log_1md + new
+            mixed = np.logaddexp(u, v)
+            if want_dot:
+                dmixed = np.exp(u - mixed)[None] * dlm + np.exp(v - mixed)[None] * dnew
+            mixed = mixed - _lse(mixed, axis=2, keepdims=True)
+            _zero_diag(mixed)
+            if want_dot:
+                dmixed = dmixed - np.einsum(
+                    "ijb,pijb->pij", _softmax(mixed, axis=2), dmixed)[..., None]
+                _zero_diag(dmixed)
+        else:
+            mixed = new
+            dmixed = dnew if want_dot else None
+        residuals.append(float(np.max(np.abs(np.exp(mixed) - np.exp(lm)))))
+        lm = mixed
+        if want_dot:
+            dlm = dmixed
+        if not cfg.fixed_iterations and residuals[-1] < cfg.tol:
+            converged = True
+            break
+    else:
+        converged = residuals[-1] < cfg.tol
+
+    pre = log_node + lm.sum(axis=0)
+    log_marg = pre - _lse(pre, axis=1, keepdims=True)
+    g = pre[:, None, :] - lm.transpose(1, 0, 2)
+    lpb = g[:, :, :, None] + g.transpose(1, 0, 2)[:, :, None, :] + log_edge
+    lpb = lpb - _lse(lpb.reshape(m_nodes, m_nodes, -1), axis=2)[:, :, None, None]
+    idx = np.arange(m_nodes)
+    lpb[idx, idx] = 0.0
+    d_log_marg = d_lpb = None
+    if want_dot:
+        dpre = node_dot + dlm.sum(axis=1)
+        d_log_marg = dpre - np.einsum("ia,pia->pi", _softmax(pre, axis=1), dpre)[..., None]
+        dg = dpre[:, :, None, :] - dlm.transpose(0, 2, 1, 3)
+        d_lpb = dg[:, :, :, :, None] + dg.transpose(0, 2, 1, 3)[:, :, :, None, :]
+        wpb = _softmax(lpb.reshape(m_nodes, m_nodes, -1), axis=2)
+        corr = np.einsum("ijc,pijc->pij", wpb,
+                         d_lpb.reshape(d_lpb.shape[0], m_nodes, m_nodes, -1))
+        d_lpb = d_lpb - corr[:, :, :, None, None]
+        d_lpb[:, idx, idx] = 0.0
+    return log_marg, lpb, converged, iters_used, residuals, d_log_marg, d_lpb
+
+
+def interaction_tables_reference(candidates, boxes, gamma, d_safe):
+    """Per-pair reference for ``energy.interaction_tables``: one grid call per
+    unordered pair for collision, then one per ordered pair for safety."""
+    m = len(candidates)
+    k = len(candidates[0])
+    pos = np.stack([np.stack([c.positions for c in cands]) for cands in candidates])
+    heads = np.stack([np.stack([c.headings for c in cands]) for cands in candidates])
+    speeds = np.stack([np.stack([c.speeds for c in cands]) for cands in candidates])
+    pairwise = np.zeros((m, m, k, k))
+    fut = slice(1, None)
+    for i in range(m):
+        for j in range(i + 1, m):
+            hit = boxes_overlap_grid(
+                pos[i][:, None, fut, :], heads[i][:, None, fut], boxes[i],
+                pos[j][None, :, fut, :], heads[j][None, :, fut], boxes[j])
+            coll = gamma * np.any(hit, axis=-1)
+            pairwise[i, j] += coll
+            pairwise[j, i] += coll.T
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            dist = point_to_box_distance_grid(
+                pos[i][:, None, fut, :],
+                pos[j][None, :, fut, :], heads[j][None, :, fut], boxes[j])
+            pen = np.maximum(0.0, d_safe - dist)
+            pairwise[i, j] += np.einsum("at,abt->ab", speeds[i][:, fut], pen ** 2)
+    return pairwise

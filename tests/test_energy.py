@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_scene, stationary_trajectory, straight_trajectory
-from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, build_tables,
-                              collision_energy, extract_features, goal_energy,
-                              safety_energy, unary_energy)
+from conftest import (interaction_tables_reference, random_scene,
+                      stationary_trajectory, straight_trajectory)
+from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
+                              build_tables, collision_energy, extract_features,
+                              goal_energy, interaction_tables, safety_energy,
+                              unary_energy)
 from reactplan.errors import DimensionMismatch, HorizonMismatch
 from reactplan.geometry import Polyline
 from reactplan.sampler import Trajectory
@@ -281,6 +283,69 @@ class TestBuildTables:
                 for t in range(1, len(a)))
             if clear:
                 assert e == 0.0
+
+
+def boundary_pair(rng, d_safe, offset, k=3):
+    """Two actors whose stationary candidates sit ``offset`` m beyond the
+    reach distance d_safe + r_i + r_j of each other, far from the origin."""
+    boxes = [BoxDims(rng.uniform(1.5, 2.5), rng.uniform(0.7, 1.1)) for _ in range(2)]
+    reach = d_safe + math.hypot(*boxes[0]) + math.hypot(*boxes[1])
+    phi = rng.uniform(-math.pi, math.pi)
+    a = rng.uniform(-1000, 1000, size=2)
+    b = a + (reach + offset) * np.array([math.cos(phi), math.sin(phi)])
+    cands = [[stationary_trajectory(p, heading=rng.uniform(-math.pi, math.pi), steps=6)
+              for _ in range(k)] for p in (a, b)]
+    return cands, boxes
+
+
+class TestPrunedInteractionTables:
+    def scenes(self, params):
+        rng = np.random.default_rng(11)
+        for n_actors in (0, 1, 6, 12):
+            candidates, boxes, _, _ = random_scene(rng, n_actors=n_actors, k=3,
+                                                   span=30.0)
+            for offset in (-1e-3, 1e-3):
+                extra, extra_boxes = boundary_pair(rng, params.d_safe, offset)
+                candidates, boxes = candidates + extra, boxes + extra_boxes
+            yield candidates, boxes
+
+    def test_bit_identical_to_per_pair_reference(self):
+        params = EnergyParams()
+        for candidates, boxes in self.scenes(params):
+            got = interaction_tables(candidates, boxes, params.gamma, params.d_safe)
+            want = interaction_tables_reference(candidates, boxes, params.gamma,
+                                                params.d_safe)
+            assert np.array_equal(got, want)
+
+    def test_reach_boundary(self):
+        params = EnergyParams()
+        rng = np.random.default_rng(12)
+        for offset, kept in ((-1e-3, True), (1e-3, False)):
+            cands, boxes = boundary_pair(rng, params.d_safe, offset)
+            pos = np.array([[c.positions[1:] for c in cs] for cs in cands])
+            assert len(_reach_pairs(pos, boxes, params.d_safe)) == int(kept)
+
+    def test_skipped_pairs_have_zero_scalar_energy(self):
+        params = EnergyParams()
+        skipped = computed_nonzero = 0
+        for candidates, boxes in self.scenes(params):
+            pos = np.array([[c.positions[1:] for c in cs] for cs in candidates])
+            kept = {tuple(p) for p in _reach_pairs(pos, boxes, params.d_safe)}
+            table = interaction_tables(candidates, boxes, params.gamma, params.d_safe)
+            m = len(candidates)
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if (i, j) in kept:
+                        computed_nonzero += bool(np.any(table[i, j] + table[j, i].T))
+                        continue
+                    skipped += 1
+                    for ta in candidates[i]:
+                        for tb in candidates[j]:
+                            assert collision_energy(ta, boxes[i], tb, boxes[j],
+                                                    params.gamma) == 0.0
+                            assert safety_energy(ta, tb, boxes[j], params.d_safe) == 0.0
+                            assert safety_energy(tb, ta, boxes[i], params.d_safe) == 0.0
+        assert skipped > 0 and computed_nonzero > 0
 
 
 class TestTableSerialization:

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (joint_distribution, max_node_tv, random_tables,
-                      tree_tables, tv_distance)
+from conftest import (dense_lbp_pass, joint_distribution, max_node_tv,
+                      random_tables, tree_tables, tv_distance)
 from reactplan.energy import EnergyTables
 from reactplan.errors import (DegenerateCondition, EmptyConditioningSet,
                               StateSpaceTooLarge)
 from reactplan.inference import (LbpConfig, conditional_marginals,
-                                 exact_marginals, lbp,
+                                 exact_marginals, lbp, lbp_pass,
                                  set_conditional_marginals)
 
 TIGHT = LbpConfig(max_iters=300, damping=0.5, tol=1e-13)
@@ -292,3 +292,54 @@ class TestSetConditionals:
         ms = lbp(collision_instance(3), LbpConfig())
         with pytest.raises(EmptyConditioningSet):
             set_conditional_marginals(ms, [])
+
+
+def sparse_potentials(rng, m, k, zero_frac, coupling=0.7):
+    """Random log potentials in which about ``zero_frac`` of the unordered
+    pairs have an identically zero combined block."""
+    log_node = rng.normal(size=(m, k))
+    pw = np.zeros((m, m, k, k))
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() >= zero_frac:
+                pw[i, j] = coupling * rng.normal(size=(k, k))
+                pw[j, i] = coupling * rng.normal(size=(k, k))
+    return log_node, -(pw + pw.transpose(1, 0, 3, 2))
+
+
+# (nodes, candidates, share of zero blocks): dense, half sparse, no edges at
+# all, a single node and a two-node graph whose only block is zero
+ORACLE_CASES = [(6, 5, 0.0), (7, 4, 0.5), (8, 3, 0.5), (5, 4, 1.0),
+                (1, 6, 0.0), (2, 5, 1.0)]
+
+
+class TestEdgeListMatchesDenseOracle:
+    @pytest.mark.parametrize("m,k,zero_frac", ORACLE_CASES)
+    def test_plain_mode(self, m, k, zero_frac):
+        rng = np.random.default_rng(100 + 10 * m + k)
+        for cfg in (LbpConfig(), LbpConfig(max_iters=7, damping=0.0)):
+            log_node, log_edge = sparse_potentials(rng, m, k, zero_frac)
+            res = lbp_pass(log_node, log_edge, cfg)
+            lm, lpb, conv, iters, resid, _, _ = dense_lbp_pass(log_node, log_edge, cfg)
+            np.testing.assert_allclose(res.log_marginals, lm, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.log_pairwise, lpb, rtol=0, atol=1e-12)
+            assert res.iters_used == iters
+            assert res.converged == conv
+            assert len(res.residuals) == len(resid)
+
+    @pytest.mark.parametrize("m,k,zero_frac", ORACLE_CASES)
+    def test_tangent_mode(self, m, k, zero_frac):
+        rng = np.random.default_rng(200 + 10 * m + k)
+        cfg = LbpConfig(max_iters=12, fixed_iterations=True)
+        log_node, log_edge = sparse_potentials(rng, m, k, zero_frac)
+        node_dot = rng.normal(size=(3, m, k))
+        res = lbp_pass(log_node, log_edge, cfg, node_dot=node_dot)
+        lm, lpb, conv, iters, resid, dlm, dlpb = dense_lbp_pass(
+            log_node, log_edge, cfg, node_dot=node_dot)
+        np.testing.assert_allclose(res.log_marginals, lm, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.log_pairwise, lpb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.d_log_marginals, dlm, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.d_log_pairwise, dlpb, rtol=0, atol=1e-12)
+        assert res.iters_used == iters == cfg.max_iters
+        assert res.converged == conv
+        assert len(res.residuals) == len(resid)

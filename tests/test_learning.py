@@ -7,6 +7,7 @@ import pytest
 from conftest import random_tables, straight_trajectory
 from reactplan.energy import EnergyParams, EnergyTables
 from reactplan.errors import DivergenceError, InvalidIgnoreSize
+from reactplan.geometry import OrientedBox, Pose2, boxes_overlap
 from reactplan.inference import LbpConfig, exact_marginals, lbp, lbp_pass
 from reactplan.learning import (LOG_CLIP, TrainConfig,
                                 _edge_loss, _node_loss, _unary_tangents,
@@ -237,6 +238,17 @@ class TestTrain:
         b_params, b_curve = train(EnergyParams(), data, SCFG, cfg)
         assert a_curve == b_curve
         np.testing.assert_array_equal(a_params.w_ego, b_params.w_ego)
+
+
+class TestSyntheticDataset:
+    @pytest.mark.parametrize("n_actors", [4, 6])
+    def test_initial_footprints_do_not_overlap(self, n_actors):
+        for ex in synthetic_dataset(8, seed=21, sampler_cfg=SCFG, n_actors=n_actors):
+            footprints = [OrientedBox(Pose2(*past.poses[-1]), *dims)
+                          for past, dims in zip(ex.pasts, ex.boxes)]
+            for i in range(n_actors):
+                for j in range(i + 1, n_actors):
+                    assert not boxes_overlap(footprints[i], footprints[j])
 
 
 class TestDatasetIO:

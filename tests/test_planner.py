@@ -1,4 +1,6 @@
 """Planning objectives vs brute-force expectations, argmin behavior."""
+import logging
+
 import numpy as np
 import pytest
 
@@ -256,13 +258,27 @@ class TestPlan:
         assert np.isinf(result.objective_values[2])
         assert result.chosen != 2
 
-    def test_nonconverged_run_still_plans(self):
+    def test_nonconverged_run_still_plans(self, caplog, capsys):
         tables = random_tables(np.random.default_rng(15), m=3, k=4, coupling=1.5)
         cfg = PlannerConfig(variant="reactive", lambda_b=1.0, lambda_c=0.1,
                             w_goal=0.5, lbp=LbpConfig(max_iters=1, tol=1e-12))
-        result = plan(make_ego_candidates(4), tables, cfg)
+        with caplog.at_level(logging.WARNING, logger="reactplan.planner"):
+            result = plan(make_ego_candidates(4), tables, cfg)
         assert result.converged is False
         assert 0 <= result.chosen < 4
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "1 iterations" in record.getMessage()
+        residual = lbp(tables, cfg.lbp).residuals[-1]
+        assert f"final residual {residual:.3g}" in record.getMessage()
+        assert capsys.readouterr().out == ""
+
+    def test_converged_run_does_not_warn(self, caplog):
+        tables = random_tables(np.random.default_rng(15), m=3, k=4, coupling=0.3)
+        with caplog.at_level(logging.WARNING, logger="reactplan.planner"):
+            result = plan(make_ego_candidates(4), tables, cfg_for())
+        assert result.converged is True
+        assert caplog.records == []
 
 
 class TestArgminShiftInvariance:

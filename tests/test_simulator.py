@@ -265,6 +265,19 @@ class TestPerturbation:
         with pytest.raises(InfeasiblePerturbation):
             perturb_scenario(overlapping, np.random.default_rng(2))
 
+    def test_other_validation_errors_propagate(self, monkeypatch):
+        def broken_validate(self):
+            raise ZeroDivisionError("bug in validate")
+
+        monkeypatch.setattr(Scenario, "validate", broken_validate)
+        template = builtin_templates()["merge_dense"]
+        with pytest.raises(ZeroDivisionError):
+            perturb_scenario(template, np.random.default_rng(3))
+        cfg = RunConfig()
+        with pytest.raises(ZeroDivisionError):
+            run_suite([template], 1, cfg.planner_config(), cfg.energy,
+                      cfg.sampler, cfg.sim, seed=4)
+
 
 class TestRunSuite:
     def test_single_unperturbed_variant_equals_direct_episode(self):
