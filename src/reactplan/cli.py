@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,8 @@ from .planner import plan
 from .sampler import KinematicState, sample_candidates
 from .scenarios import Scenario, builtin_templates
 from .simulator import run_suite
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,7 +211,7 @@ def cmd_simulate(args) -> int:
         suite = run_suite(templates, n_variants, planner_cfg, cfg.energy,
                           cfg.sampler, cfg.sim, cfg.seed, workers=args.workers)
         for name, v_idx in suite.skipped:
-            print(f"skipped infeasible variant {name}/{v_idx}")
+            logger.warning("skipped infeasible variant %s/%d", name, v_idx)
         agg = suite.aggregates()
         vdir = out / variant
         vdir.mkdir(parents=True, exist_ok=True)

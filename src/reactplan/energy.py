@@ -275,7 +275,7 @@ def _validate_candidate_grid(candidates: Sequence[Sequence[Trajectory]]) -> int:
 
 
 # Pairs per grid call in interaction_tables. The SAT grid of one pair holds
-# K*K*(T-1)*8 floats, so this bounds peak memory, not just speed.
+# K*K*(T-1)*4 gaps, so this bounds peak memory, not just speed.
 PAIR_BATCH = 8
 
 
@@ -300,10 +300,11 @@ def _reach_pairs(fut_pos: np.ndarray, boxes: Sequence[BoxDims],
     return np.argwhere(np.triu(near, 1))
 
 
-def _batched_dims(boxes: Sequence[BoxDims], idx: np.ndarray, ndim: int):
-    """Half extents of actors ``idx``, each shaped (P,) + (1,) * (ndim - 1)."""
+def _batched_dims(boxes: Sequence[BoxDims], idx: np.ndarray):
+    """Half extents of actors ``idx``, each shaped (P, 1, 1, 1) to broadcast
+    against the (P, K, K, T-1) pair grid."""
     dims = np.array([boxes[x] for x in idx]).T
-    return dims.reshape((2, len(idx)) + (1,) * (ndim - 1))
+    return dims.reshape(2, len(idx), 1, 1, 1)
 
 
 def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
@@ -329,8 +330,8 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
     for start in range(0, len(pairs), PAIR_BATCH):
         i, j = pairs[start:start + PAIR_BATCH].T
         hit = boxes_overlap_grid(
-            pos[i][:, :, None], heads[i][:, :, None], _batched_dims(boxes, i, 5),
-            pos[j][:, None], heads[j][:, None], _batched_dims(boxes, j, 5))
+            pos[i][:, :, None], heads[i][:, :, None], _batched_dims(boxes, i),
+            pos[j][:, None], heads[j][:, None], _batched_dims(boxes, j))
         coll = gamma * np.any(hit, axis=-1)
         pairwise[i, j] += coll
         pairwise[j, i] += coll.transpose(0, 2, 1)
@@ -339,7 +340,7 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
         i, j = ordered[start:start + PAIR_BATCH].T
         dist = point_to_box_distance_grid(
             pos[i][:, :, None], pos[j][:, None], heads[j][:, None],
-            _batched_dims(boxes, j, 4))
+            _batched_dims(boxes, j))
         pen = np.maximum(0.0, d_safe - dist)
         pairwise[i, j] += np.einsum("pat,pabt->pab", speeds[i], pen ** 2)
     return pairwise

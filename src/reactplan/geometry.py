@@ -66,10 +66,6 @@ class OrientedBox:
             o - hl * u + hw * v,
         ])
 
-    def contains(self, point) -> bool:
-        """True if the point lies inside or on the box boundary."""
-        return point_to_box_distance(point, self) == 0.0
-
 
 class Polyline:
     """Ordered sequence of at least two distinct 2-D points.
@@ -148,11 +144,9 @@ class Polyline:
         return out
 
 
-def _projection_radii(heading, half_length, half_width, axes):
-    """Projection half-extent of a box onto each axis. Shapes broadcast."""
-    c = np.cos(heading)[..., None]
-    s = np.sin(heading)[..., None]
-    ax, ay = axes[..., 0], axes[..., 1]
+def _projection_radii(c, s, half_length, half_width, ax, ay):
+    """Projection half-extent onto the axis (ax, ay) of a box whose heading
+    has cosine ``c`` and sine ``s``. Shapes broadcast."""
     along = np.abs(c * ax + s * ay)
     across = np.abs(-s * ax + c * ay)
     return half_length * along + half_width * across
@@ -161,27 +155,32 @@ def _projection_radii(heading, half_length, half_width, axes):
 def _sat_gaps(ca, ha, dims_a, cb, hb, dims_b):
     """Per-axis overlap amounts for the separating-axis test.
 
-    Returns an array (..., 4); every entry >= 0 means overlap on that axis.
+    Centres ``ca``/``cb`` have shape (..., 2); headings ``ha``/``hb`` and the
+    half extents in ``dims_a``/``dims_b`` broadcast against the centres'
+    leading shape. Cosine and sine are taken once per input box, and each
+    term is evaluated at the smallest shape it depends on before the sum
+    broadcasts to the full grid. Returns an array (..., 4), one entry per
+    candidate axis (a's length, a's width, b's length, b's width); every
+    entry >= 0 means overlap on that axis.
     """
-    ca, cb = np.broadcast_arrays(np.asarray(ca, dtype=float),
-                                 np.asarray(cb, dtype=float))
-    ha, hb = np.broadcast_arrays(np.asarray(ha, dtype=float),
-                                 np.asarray(hb, dtype=float))
-    axes = np.stack([
-        np.stack([np.cos(ha), np.sin(ha)], axis=-1),
-        np.stack([-np.sin(ha), np.cos(ha)], axis=-1),
-        np.stack([np.cos(hb), np.sin(hb)], axis=-1),
-        np.stack([-np.sin(hb), np.cos(hb)], axis=-1),
-    ], axis=-2)                                                  # (..., 4, 2)
-    d = (cb - ca)[..., None, :]
-    sep = np.abs(np.einsum("...ad,...ad->...a", d, axes))
-    ra = _projection_radii(ha, dims_a[0], dims_a[1], axes)
-    rb = _projection_radii(hb, dims_b[0], dims_b[1], axes)
-    return ra + rb - sep
+    ha = np.asarray(ha, dtype=float)
+    hb = np.asarray(hb, dtype=float)
+    cos_a, sin_a = np.cos(ha), np.sin(ha)
+    cos_b, sin_b = np.cos(hb), np.sin(hb)
+    d = np.asarray(cb, dtype=float) - np.asarray(ca, dtype=float)
+    dx, dy = d[..., 0], d[..., 1]
+    gaps = []
+    for ax, ay in ((cos_a, sin_a), (-sin_a, cos_a), (cos_b, sin_b), (-sin_b, cos_b)):
+        sep = np.abs(dx * ax + dy * ay)
+        ra = _projection_radii(cos_a, sin_a, dims_a[0], dims_a[1], ax, ay)
+        rb = _projection_radii(cos_b, sin_b, dims_b[0], dims_b[1], ax, ay)
+        gaps.append(ra + rb - sep)
+    return np.stack(gaps, axis=-1)
 
 
 def boxes_overlap_grid(ca, ha, dims_a, cb, hb, dims_b) -> np.ndarray:
-    """Vectorized overlap test for broadcast batches of oriented boxes."""
+    """Vectorized overlap test for broadcast batches of oriented boxes; the
+    argument shapes are as in ``_sat_gaps``."""
     return np.all(_sat_gaps(ca, ha, dims_a, cb, hb, dims_b) >= 0.0, axis=-1)
 
 
@@ -194,13 +193,22 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return bool(np.all(gaps >= 0.0))
 
 
-def penetration_depth(a: OrientedBox, b: OrientedBox) -> float:
-    """Minimum axis overlap; positive iff the boxes overlap."""
-    gaps = _sat_gaps(a.center.position, a.center.heading,
-                     (a.half_length, a.half_width),
-                     b.center.position, b.center.heading,
-                     (b.half_length, b.half_width))
-    return float(np.min(gaps))
+def box_arrays(boxes):
+    """Centres (n, 2), headings (n,) and half extents ((n,), (n,)) of a
+    sequence of OrientedBox, for the grid kernels."""
+    centers = np.array([[b.center.x, b.center.y] for b in boxes]).reshape(-1, 2)
+    headings = np.array([b.center.heading for b in boxes])
+    dims = (np.array([b.half_length for b in boxes]),
+            np.array([b.half_width for b in boxes]))
+    return centers, headings, dims
+
+
+def overlap_matrix(boxes) -> np.ndarray:
+    """(n, n) grid whose entry [i, j] is ``boxes_overlap(boxes[i], boxes[j])``."""
+    centers, headings, (hl, hw) = box_arrays(boxes)
+    return boxes_overlap_grid(centers[:, None], headings[:, None],
+                              (hl[:, None], hw[:, None]),
+                              centers[None], headings[None], (hl[None], hw[None]))
 
 
 def point_to_box_distance_grid(points, centers, headings, dims) -> np.ndarray:

@@ -223,26 +223,28 @@ def integrate_controls(state: KinematicState, controls, cfg: SamplerConfig,
     poses[:, 0, 2] = h0
     speeds[:, 0] = min(max(v0, 0.0), cfg.v_max)
 
-    x = np.full(n, state.pose.x)
-    y = np.full(n, state.pose.y)
-    s = np.zeros(n)
+    # One column per substep. Each running sum starts from its start value
+    # in column 0 and np.cumsum adds strictly left to right, so every
+    # partial sum equals the one a substep-by-substep loop would produce.
     h_sub = cfg.dt / INTEGRATION_SUBSTEPS
-    sub = 0
-    for step in range(1, T):
-        for _ in range(INTEGRATION_SUBSTEPS):
-            t_mid = (sub + 0.5) * h_sub
-            v_mid = np.clip(v0 + accel * t_mid, 0.0, cfg.v_max)
-            ds = v_mid * h_sub
-            s_mid = s + 0.5 * ds
-            theta = h0 + kappa0 * s_mid + 0.5 * rate * s_mid ** 2
-            x = x + ds * np.cos(theta)
-            y = y + ds * np.sin(theta)
-            s = s + ds
-            sub += 1
-        poses[:, step, 0] = x
-        poses[:, step, 1] = y
-        poses[:, step, 2] = wrap_angle(h0 + kappa0 * s + 0.5 * rate * s ** 2)
-        speeds[:, step] = np.clip(v0 + accel * (sub * h_sub), 0.0, cfg.v_max)
+    n_sub = (T - 1) * INTEGRATION_SUBSTEPS
+    t_mid = (np.arange(n_sub) + 0.5) * h_sub
+    v_mid = np.clip(v0 + accel[:, None] * t_mid, 0.0, cfg.v_max)
+    ds = v_mid * h_sub
+    s = np.cumsum(np.concatenate([np.zeros((n, 1)), ds], axis=1), axis=1)
+    s_mid = s[:, :-1] + 0.5 * ds
+    theta = h0 + kappa0[:, None] * s_mid + 0.5 * rate[:, None] * s_mid ** 2
+    x = np.cumsum(np.concatenate([np.full((n, 1), state.pose.x),
+                                  ds * np.cos(theta)], axis=1), axis=1)
+    y = np.cumsum(np.concatenate([np.full((n, 1), state.pose.y),
+                                  ds * np.sin(theta)], axis=1), axis=1)
+    ends = np.arange(1, T) * INTEGRATION_SUBSTEPS     # substeps done at each waypoint
+    s_end = s[:, ends]
+    poses[:, 1:, 0] = x[:, ends]
+    poses[:, 1:, 1] = y[:, ends]
+    poses[:, 1:, 2] = wrap_angle(h0 + kappa0[:, None] * s_end
+                                 + 0.5 * rate[:, None] * s_end ** 2)
+    speeds[:, 1:] = np.clip(v0 + accel[:, None] * (ends * h_sub), 0.0, cfg.v_max)
 
     return [Trajectory(start_time=start_time, dt=cfg.dt,
                        poses=poses[i], speeds=speeds[i]) for i in range(n)]

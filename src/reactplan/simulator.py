@@ -22,7 +22,11 @@ import numpy as np
 
 from .energy import BoxDims, EnergyParams, build_tables
 from .errors import InfeasiblePerturbation, InvalidScenario
-from .geometry import OrientedBox, Pose2, boxes_overlap, point_to_box_distance
+from .geometry import (OrientedBox, Pose2, box_arrays, boxes_overlap_grid,
+                       overlap_matrix, point_to_box_distance_grid, wrap_angle)
+# Not called here: perfbench's tracer counts scalar overlap calls made through
+# this module's ``boxes_overlap`` name, so the name must stay resolvable.
+from .geometry import boxes_overlap  # noqa: F401
 from .planner import PlannerConfig, plan
 from .sampler import KinematicState, SamplerConfig, sample_candidates
 from .scenarios import CarFollowingParams, Lane, Scenario, vehicle_box
@@ -104,42 +108,66 @@ def _lane_pose(lane: Lane, s: float) -> Pose2:
     return Pose2(point[0], point[1], lane.line.tangent_at(s))
 
 
-def actor_policy_step(state: ActorState, lane: Lane, own_box: BoxDims,
-                      hazards: list[OrientedBox], params: CarFollowingParams,
-                      dt: float) -> tuple[ActorState, float]:
-    """One car-following step along the route centerline.
+def actor_policy_step(states: list[ActorState], lanes: list[Lane],
+                      own_boxes: list[BoxDims], params: list[CarFollowingParams],
+                      shared_hazards: list[OrientedBox],
+                      dt: float) -> tuple[list[ActorState], list[float]]:
+    """One car-following step of every actor along its route centerline.
 
-    The hazard corridor is an oriented rectangle starting at the front
-    bumper, ``hazard_lookahead`` long and ``own width + CORRIDOR_MARGIN``
-    wide. Returns the new state and the realized acceleration (clamped so the
-    actor never reverses).
+    All actors decide from the same snapshot. Actor i's hazards are
+    ``shared_hazards`` (the ego, in a simulation) plus every other actor's
+    current footprint. Its hazard corridor is an oriented rectangle starting
+    at the front bumper, ``hazard_lookahead`` long and ``own width +
+    CORRIDOR_MARGIN`` wide. One grid overlap test of every corridor against
+    every hazard and one grid of bumper-to-hazard distances answer all
+    actors at once. Returns the new states and the realized accelerations
+    (clamped so no actor reverses).
     """
-    heading = state.pose.heading
-    u = np.array([math.cos(heading), math.sin(heading)])
-    front = state.pose.position + own_box.half_length * u
-    corridor_center = front + 0.5 * params.hazard_lookahead * u
-    corridor = OrientedBox(
-        center=Pose2(corridor_center[0], corridor_center[1], heading),
-        half_length=0.5 * params.hazard_lookahead,
-        half_width=own_box.half_width + 0.5 * CORRIDOR_MARGIN)
+    m = len(states)
+    if m == 0:
+        return [], []
+    heading = np.array([st.pose.heading for st in states])
+    u = np.array([[math.cos(h), math.sin(h)] for h in heading.tolist()])
+    position = np.array([[st.pose.x, st.pose.y] for st in states])
+    half_length = np.array([b.half_length for b in own_boxes])
+    half_width = np.array([b.half_width for b in own_boxes])
+    lookahead = np.array([p.hazard_lookahead for p in params])
+    front = position + half_length[:, None] * u
+    corridor_center = front + (0.5 * lookahead)[:, None] * u
+    corridor_dims = (0.5 * lookahead[:, None],
+                     half_width[:, None] + 0.5 * CORRIDOR_MARGIN)
 
-    blocking = [b for b in hazards if boxes_overlap(corridor, b)]
-    if not blocking:
-        accel = min(params.max_accel, (params.desired_speed - state.speed) / dt)
-        accel = max(accel, -params.comfortable_decel)
-    else:
-        nearest = min(point_to_box_distance(front, b) for b in blocking)
-        factor = 2.0 if nearest < params.min_gap else 1.0
-        accel = -factor * params.comfortable_decel
+    hazards = list(shared_hazards) + [vehicle_box(st.pose, b)
+                                      for st, b in zip(states, own_boxes)]
+    centers, headings, (hl, hw) = box_arrays(hazards)
+    own = np.eye(m, len(hazards), k=len(shared_hazards), dtype=bool)
+    # corridor headings are normalized like every Pose2 heading
+    blocking = boxes_overlap_grid(
+        corridor_center[:, None], wrap_angle(heading)[:, None], corridor_dims,
+        centers[None], headings[None], (hl[None], hw[None])) & ~own
+    dist = point_to_box_distance_grid(front[:, None], centers[None],
+                                      headings[None], (hl[None], hw[None]))
+    nearest = np.where(blocking, dist, np.inf).min(axis=1, initial=np.inf)
 
-    new_speed = max(0.0, state.speed + accel * dt)
-    realized = (new_speed - state.speed) / dt
-    new_s = state.arclength + new_speed * dt
-    if new_s >= lane.line.length:
-        new_s = lane.line.length
-        new_speed = 0.0
-    return ActorState(arclength=new_s, speed=new_speed,
-                      pose=_lane_pose(lane, new_s)), realized
+    speed = np.array([st.speed for st in states])
+    desired = np.array([p.desired_speed for p in params])
+    max_accel = np.array([p.max_accel for p in params])
+    decel = np.array([p.comfortable_decel for p in params])
+    min_gap = np.array([p.min_gap for p in params])
+    cruise = np.maximum(np.minimum(max_accel, (desired - speed) / dt), -decel)
+    brake = -np.where(nearest < min_gap, 2.0, 1.0) * decel
+    accel = np.where(blocking.any(axis=1), brake, cruise)
+
+    new_speed = np.maximum(0.0, speed + accel * dt)
+    realized = (new_speed - speed) / dt
+    new_s = np.array([st.arclength for st in states]) + new_speed * dt
+    lengths = np.array([lane.line.length for lane in lanes])
+    at_end = new_s >= lengths
+    new_s = np.where(at_end, lengths, new_s)
+    new_speed = np.where(at_end, 0.0, new_speed)
+    new_states = [ActorState(arclength=s, speed=v, pose=_lane_pose(lane, s))
+                  for s, v, lane in zip(new_s.tolist(), new_speed.tolist(), lanes)]
+    return new_states, realized.tolist()
 
 
 def _derived_seed(parts) -> int:
@@ -166,6 +194,8 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
     goal_target = scenario.goal_target()
 
     actor_lanes = [scenario.lanes[a.route] for a in scenario.actors]
+    actor_dims = [a.box for a in scenario.actors]
+    behaviors = [a.behavior for a in scenario.actors]
     actor_states = []
     for actor, lane in zip(scenario.actors, actor_lanes):
         _, s = lane.line.project(actor.state.pose.position)
@@ -219,22 +249,10 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
             }
 
         # decisions from the common snapshot, then simultaneous motion
-        ego_box_now = vehicle_box(ego_pose, scenario.ego.box)
-        actor_boxes_now = [vehicle_box(st.pose, a.box)
-                           for st, a in zip(actor_states, scenario.actors)]
-        new_actor_states = []
-        accels = []
-        for i, (actor, lane, st) in enumerate(
-                zip(scenario.actors, actor_lanes, actor_states)):
-            hazards = [ego_box_now] + [b for j, b in enumerate(actor_boxes_now)
-                                       if j != i]
-            new_state, accel = actor_policy_step(st, lane, actor.box, hazards,
-                                                 actor.behavior, dt)
-            new_actor_states.append(new_state)
-            accels.append(accel)
-
+        actor_states, accels = actor_policy_step(
+            actor_states, actor_lanes, actor_dims, behaviors,
+            [vehicle_box(ego_pose, scenario.ego.box)], dt)
         ego_pose, ego_speed = committed.state_at((t + dt) - commit_time)
-        actor_states = new_actor_states
         t_next = t + dt
 
         for i, accel in enumerate(accels):
@@ -243,13 +261,13 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
                 brake_events += 1
             braking[i] = now_braking
 
-        ego_box = vehicle_box(ego_pose, scenario.ego.box)
-        actor_boxes = [vehicle_box(st.pose, a.box)
-                       for st, a in zip(actor_states, scenario.actors)]
-        ego_hit = any(boxes_overlap(ego_box, b) for b in actor_boxes)
-        actor_contact = any(
-            boxes_overlap(actor_boxes[i], actor_boxes[j])
-            for i in range(len(actor_boxes)) for j in range(i + 1, len(actor_boxes)))
+        # row 0 is the ego; the strict upper triangle of the rest is
+        # actor-actor contact
+        hit = overlap_matrix(
+            [vehicle_box(ego_pose, scenario.ego.box)]
+            + [vehicle_box(st.pose, b) for st, b in zip(actor_states, actor_dims)])
+        ego_hit = bool(hit[0, 1:].any())
+        actor_contact = bool(np.triu(hit[1:, 1:], 1).any())
 
         record = {
             "t": round(t_next, 6),

@@ -4,10 +4,15 @@ import math
 import numpy as np
 
 from reactplan.energy import BoxDims, EnergyTables
-from reactplan.geometry import (OrientedBox, Polyline, Pose2, boxes_overlap_grid,
-                                point_to_box_distance_grid)
+from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
+                                boxes_overlap, boxes_overlap_grid,
+                                point_to_box_distance, point_to_box_distance_grid,
+                                wrap_angle)
 from reactplan.inference import _lse, _softmax
-from reactplan.sampler import KinematicState, SamplerConfig, Trajectory, sample_candidates
+from reactplan.sampler import (INTEGRATION_SUBSTEPS, CandidateControls,
+                               KinematicState, SamplerConfig, Trajectory,
+                               sample_candidates)
+from reactplan.simulator import CORRIDOR_MARGIN, ActorState
 
 
 def tv_distance(p, q) -> float:
@@ -272,3 +277,85 @@ def interaction_tables_reference(candidates, boxes, gamma, d_safe):
             pen = np.maximum(0.0, d_safe - dist)
             pairwise[i, j] += np.einsum("at,abt->ab", speeds[i][:, fut], pen ** 2)
     return pairwise
+
+
+def penetration_depth(a: OrientedBox, b: OrientedBox) -> float:
+    """Minimum separating-axis overlap; positive iff the boxes overlap with
+    some depth."""
+    gaps = _sat_gaps(a.center.position, a.center.heading,
+                     (a.half_length, a.half_width),
+                     b.center.position, b.center.heading,
+                     (b.half_length, b.half_width))
+    return float(np.min(gaps))
+
+
+def actor_policy_step_reference(state, lane, own_box, hazards, params, dt):
+    """Scalar reference for one actor of ``simulator.actor_policy_step``: one
+    ``boxes_overlap`` call per hazard, then the nearest blocking hazard by
+    scalar point-to-box distance. Returns (ActorState, realized accel)."""
+    heading = state.pose.heading
+    u = np.array([math.cos(heading), math.sin(heading)])
+    front = state.pose.position + own_box.half_length * u
+    corridor_center = front + 0.5 * params.hazard_lookahead * u
+    corridor = OrientedBox(
+        center=Pose2(corridor_center[0], corridor_center[1], heading),
+        half_length=0.5 * params.hazard_lookahead,
+        half_width=own_box.half_width + 0.5 * CORRIDOR_MARGIN)
+
+    blocking = [b for b in hazards if boxes_overlap(corridor, b)]
+    if not blocking:
+        accel = min(params.max_accel, (params.desired_speed - state.speed) / dt)
+        accel = max(accel, -params.comfortable_decel)
+    else:
+        nearest = min(point_to_box_distance(front, b) for b in blocking)
+        factor = 2.0 if nearest < params.min_gap else 1.0
+        accel = -factor * params.comfortable_decel
+
+    new_speed = max(0.0, state.speed + accel * dt)
+    realized = (new_speed - state.speed) / dt
+    new_s = state.arclength + new_speed * dt
+    if new_s >= lane.line.length:
+        new_s = lane.line.length
+        new_speed = 0.0
+    point = lane.line.point_at(new_s)
+    pose = Pose2(point[0], point[1], lane.line.tangent_at(new_s))
+    return ActorState(arclength=new_s, speed=new_speed, pose=pose), realized
+
+
+def integrate_controls_reference(state, controls, cfg, start_time=0.0):
+    """Substep-by-substep reference for ``sampler.integrate_controls``."""
+    if isinstance(controls, CandidateControls):
+        controls = [controls]
+    n = len(controls)
+    T = cfg.horizon_steps
+    accel = np.array([c.accel for c in controls])
+    kappa0 = np.array([c.curvature for c in controls])
+    rate = np.array([c.curvature_rate for c in controls])
+    h0 = state.pose.heading
+    v0 = state.speed
+    poses = np.empty((n, T, 3))
+    speeds = np.empty((n, T))
+    poses[:, 0] = [state.pose.x, state.pose.y, h0]
+    speeds[:, 0] = min(max(v0, 0.0), cfg.v_max)
+    x = np.full(n, state.pose.x)
+    y = np.full(n, state.pose.y)
+    s = np.zeros(n)
+    h_sub = cfg.dt / INTEGRATION_SUBSTEPS
+    sub = 0
+    for step in range(1, T):
+        for _ in range(INTEGRATION_SUBSTEPS):
+            t_mid = (sub + 0.5) * h_sub
+            v_mid = np.clip(v0 + accel * t_mid, 0.0, cfg.v_max)
+            ds = v_mid * h_sub
+            s_mid = s + 0.5 * ds
+            theta = h0 + kappa0 * s_mid + 0.5 * rate * s_mid ** 2
+            x = x + ds * np.cos(theta)
+            y = y + ds * np.sin(theta)
+            s = s + ds
+            sub += 1
+        poses[:, step, 0] = x
+        poses[:, step, 1] = y
+        poses[:, step, 2] = wrap_angle(h0 + kappa0 * s + 0.5 * rate * s ** 2)
+        speeds[:, step] = np.clip(v0 + accel * (sub * h_sub), 0.0, cfg.v_max)
+    return [Trajectory(start_time=start_time, dt=cfg.dt,
+                       poses=poses[i], speeds=speeds[i]) for i in range(n)]

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, determinism, schemas."""
 import csv
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -223,7 +224,7 @@ class TestCmdSimulate:
         assert read_bytes(outs[0] / "reactive" / "episodes.jsonl") == \
             read_bytes(outs[1] / "reactive" / "episodes.jsonl")
 
-    def test_all_skipped_exits_5(self, tmp_path, small_config):
+    def test_all_skipped_exits_5(self, tmp_path, small_config, caplog, capsys):
         # overlapping template with negligible perturbation can never be
         # drawn valid
         tdir = tmp_path / "bad_templates"
@@ -233,10 +234,15 @@ class TestCmdSimulate:
         scenario["position_sigma"] = 1e-9
         with open(tdir / "jam.json", "w") as fh:
             json.dump(scenario, fh)
-        code = main(["--config", str(small_config), "--out",
-                     str(tmp_path / "o"), "simulate", "--templates",
-                     str(tdir), "--planners", "reactive", "--variants", "2"])
+        with caplog.at_level(logging.WARNING, logger="reactplan.cli"):
+            code = main(["--config", str(small_config), "--out",
+                         str(tmp_path / "o"), "simulate", "--templates",
+                         str(tdir), "--planners", "reactive", "--variants", "2"])
         assert code == 5
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipped infeasible variant {scenario['name']}/{v}" for v in (0, 1)]
+        assert all(r.levelno == logging.WARNING for r in caplog.records)
+        assert capsys.readouterr().out == ""
 
     def test_missing_templates_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "simulate", "--templates",

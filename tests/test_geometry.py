@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_box
-from reactplan.geometry import (OrientedBox, Polyline, Pose2, boxes_overlap,
-                                penetration_depth, point_to_box_distance,
+from conftest import penetration_depth, random_box
+from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
+                                box_arrays, boxes_overlap, boxes_overlap_grid,
+                                overlap_matrix, point_to_box_distance,
                                 project_to_polyline, wrap_angle)
 
 
@@ -88,6 +89,55 @@ class TestBoxesOverlap:
             assert raster_overlap(a, b, res=2e-3) == analytic
             checked += 1
         assert checked > 200
+
+
+def scalar_gaps(a: OrientedBox, b: OrientedBox) -> np.ndarray:
+    return _sat_gaps(a.center.position, a.center.heading,
+                     (a.half_length, a.half_width),
+                     b.center.position, b.center.heading,
+                     (b.half_length, b.half_width))
+
+
+class TestGridKernelsMatchScalar:
+    def boxes(self, rng):
+        # random boxes plus exactly touching and exactly coincident pairs
+        out = [random_box(rng, half_max=1.0, span=2.0) for _ in range(30)]
+        return out + [unit_box(), unit_box(x=2.0), unit_box(y=-2.0),
+                      unit_box(x=2.0, heading=math.pi / 2), unit_box()]
+
+    def test_pair_grid_equals_scalar_entries(self):
+        boxes = self.boxes(np.random.default_rng(7))
+        centers, headings, (hl, hw) = box_arrays(boxes)
+        args = (centers[:, None], headings[:, None], (hl[:, None], hw[:, None]),
+                centers[None], headings[None], (hl[None], hw[None]))
+        gaps = _sat_gaps(*args)
+        hit = boxes_overlap_grid(*args)
+        assert gaps.shape == (len(boxes), len(boxes), 4)
+        assert np.array_equal(overlap_matrix(boxes), hit)
+        for i, a in enumerate(boxes):
+            for j, b in enumerate(boxes):
+                assert np.array_equal(gaps[i, j], scalar_gaps(a, b))
+                assert hit[i, j] == boxes_overlap(a, b)
+        assert hit[-5, -4] and hit[-5, -3] and hit[-5, -1]
+
+    def test_candidate_grid_equals_scalar_entries(self):
+        # the layout interaction_tables uses: (P, K, 1, T) against (P, 1, K, T)
+        # with one pair of box sizes per p
+        rng = np.random.default_rng(8)
+        p, k, t = 3, 4, 5
+        ca, cb = rng.uniform(-3, 3, (p, k, 1, t, 2)), rng.uniform(-3, 3, (p, 1, k, t, 2))
+        ha, hb = rng.uniform(-4, 4, (p, k, 1, t)), rng.uniform(-4, 4, (p, 1, k, t))
+        dims_a = rng.uniform(0.3, 2.5, (2, p, 1, 1, 1))
+        dims_b = rng.uniform(0.3, 2.5, (2, p, 1, 1, 1))
+        gaps = _sat_gaps(ca, ha, dims_a, cb, hb, dims_b)
+        hit = boxes_overlap_grid(ca, ha, dims_a, cb, hb, dims_b)
+        assert 0 < hit.sum() < hit.size
+        for idx in np.ndindex(p, k, k, t):
+            q, a, b, w = idx
+            expected = _sat_gaps(ca[q, a, 0, w], ha[q, a, 0, w], dims_a[:, q, 0, 0, 0],
+                                 cb[q, 0, b, w], hb[q, 0, b, w], dims_b[:, q, 0, 0, 0])
+            assert np.array_equal(gaps[idx], expected)
+            assert hit[idx] == np.all(expected >= 0.0)
 
 
 class TestCorners:

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stationary_trajectory, straight_trajectory
+from conftest import (integrate_controls_reference, stationary_trajectory,
+                      straight_trajectory)
 from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
                                KinematicState, SamplerConfig, Trajectory,
                                closest_candidate, draw_controls, estimate_state,
-                               sample_candidates, trajectory_l2)
+                               integrate_controls, sample_candidates,
+                               trajectory_l2)
 
 
 def make_past(step_lengths, dt=0.1, heading=0.0):
@@ -111,6 +113,43 @@ class TestSampleCandidates:
         for a, b in zip(small, large):
             assert np.array_equal(a.poses, b.poses)
             assert np.array_equal(a.speeds, b.speeds)
+
+
+class TestIntegrateControlsMatchesReference:
+    def test_bit_identical_to_substep_loop(self):
+        rng = np.random.default_rng(23)
+        clipped_low = clipped_high = 0
+        for _ in range(400):
+            cfg = SamplerConfig(k=int(rng.integers(2, 20)),
+                                horizon_steps=int(rng.integers(1, 12)),
+                                dt=float(rng.uniform(0.05, 1.0)),
+                                v_max=float(rng.uniform(3.0, 20.0)),
+                                seed=int(rng.integers(0, 2 ** 31)))
+            speed = float(rng.choice([0.0, rng.uniform(0.0, 1.5 * cfg.v_max)]))
+            state = KinematicState(Pose2(*rng.uniform(-500, 500, size=2),
+                                         rng.uniform(-math.pi, math.pi)), speed)
+            controls = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
+            got = integrate_controls(state, controls, cfg, start_time=1.5)
+            want = integrate_controls_reference(state, controls, cfg, start_time=1.5)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.start_time == w.start_time and g.dt == w.dt
+                assert np.array_equal(g.poses, w.poses)
+                assert np.array_equal(g.speeds, w.speeds)
+                clipped_low += np.any(g.speeds[1:] == 0.0)
+                clipped_high += np.any(g.speeds[1:] == cfg.v_max)
+        assert clipped_low > 0 and clipped_high > 0
+
+    def test_single_waypoint_horizon(self):
+        cfg = SamplerConfig(k=5, horizon_steps=1, seed=4)
+        state = KinematicState(Pose2(3.0, -2.0, 0.7), 6.0)
+        controls = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
+        got = integrate_controls(state, controls, cfg)
+        want = integrate_controls_reference(state, controls, cfg)
+        for g, w in zip(got, want):
+            assert g.poses.shape == (1, 3)
+            assert np.array_equal(g.poses, w.poses)
+            assert np.array_equal(g.speeds, w.speeds)
 
 
 class TestModeFrequencies:

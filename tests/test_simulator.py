@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import actor_policy_step_reference
 from reactplan.config import RunConfig
 from reactplan.energy import BoxDims
 from reactplan.errors import InfeasiblePerturbation, InvalidScenario
@@ -32,13 +33,20 @@ def open_road_scenario(goal=("point", (60.0, 0.0)), timer=12.0, actors=()):
                     timer=timer, position_sigma=0.0, speed_sigma=0.0)
 
 
+def step_one(state, hazards, params):
+    """One actor alone on LONG_LANE, with ``hazards`` as its shared hazards."""
+    [new_state], [accel] = actor_policy_step([state], [LONG_LANE], [CAR], [params],
+                                             hazards, 0.1)
+    return new_state, accel
+
+
 class TestActorPolicyStep:
     def test_empty_road_ramps_to_desired_speed(self):
         params = cruise(8.0)
         state = ActorState(arclength=50.0, speed=0.0,
                            pose=Pose2(0.0, 0.0, 0.0))
         for _ in range(100):
-            state, _ = actor_policy_step(state, LONG_LANE, CAR, [], params, 0.1)
+            state, _ = step_one(state, [], params)
         assert state.speed == pytest.approx(8.0)
 
     def test_never_reverses(self):
@@ -46,8 +54,7 @@ class TestActorPolicyStep:
         blocker = OrientedBox(Pose2(8.0, 0.0, 0.0), 2.25, 0.9)
         state = ActorState(arclength=50.0, speed=1.0, pose=Pose2(0.0, 0.0, 0.0))
         for _ in range(50):
-            state, _ = actor_policy_step(state, LONG_LANE, CAR, [blocker],
-                                         params, 0.1)
+            state, _ = step_one(state, [blocker], params)
             assert state.speed >= 0.0
 
     def test_stops_before_stopped_leader(self):
@@ -61,8 +68,7 @@ class TestActorPolicyStep:
         state = ActorState(arclength=100.0, speed=v0,
                            pose=Pose2(50.0, 0.0, 0.0))
         for _ in range(300):
-            state, _ = actor_policy_step(state, LONG_LANE, CAR, [leader],
-                                         params, 0.1)
+            state, _ = step_one(state, [leader], params)
             own = vehicle_box(state.pose, CAR)
             assert not boxes_overlap(own, leader)
             if state.speed == 0.0:
@@ -77,8 +83,7 @@ class TestActorPolicyStep:
         for offset, expect_brake in ((front + 15.0 - 0.05, True),
                                      (front + 15.0 + 2.25 + 0.05, False)):
             hazard = OrientedBox(Pose2(offset, 0.0, 0.0), 2.25, 0.9)
-            _, accel = actor_policy_step(state, LONG_LANE, CAR, [hazard],
-                                         params, 0.1)
+            _, accel = step_one(state, [hazard], params)
             assert (accel < 0) == expect_brake
 
     def test_corridor_lateral_extent(self):
@@ -88,8 +93,7 @@ class TestActorPolicyStep:
         for lateral, expect_brake in ((half_width + 0.9 - 0.05, True),
                                       (half_width + 0.9 + 0.05, False)):
             hazard = OrientedBox(Pose2(8.0, lateral, 0.0), 2.25, 0.9)
-            _, accel = actor_policy_step(state, LONG_LANE, CAR, [hazard],
-                                         params, 0.1)
+            _, accel = step_one(state, [hazard], params)
             assert (accel < 0) == expect_brake
 
     def test_hard_braking_inside_min_gap(self):
@@ -97,10 +101,133 @@ class TestActorPolicyStep:
         state = ActorState(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
         near = OrientedBox(Pose2(2.25 + 3.0 + 2.25, 0.0, 0.0), 2.25, 0.9)
         far = OrientedBox(Pose2(2.25 + 8.0 + 2.25, 0.0, 0.0), 2.25, 0.9)
-        _, accel_near = actor_policy_step(state, LONG_LANE, CAR, [near], params, 0.1)
-        _, accel_far = actor_policy_step(state, LONG_LANE, CAR, [far], params, 0.1)
+        _, accel_near = step_one(state, [near], params)
+        _, accel_far = step_one(state, [far], params)
         assert accel_near == pytest.approx(-6.0)
         assert accel_far == pytest.approx(-3.0)
+
+    def test_other_actors_are_hazards_but_not_self(self):
+        params = cruise(8.0)
+        rear = ActorState(arclength=50.0, speed=6.0, pose=Pose2(0.0, 0.0, 0.0))
+        lead = ActorState(arclength=60.0, speed=6.0, pose=Pose2(10.0, 0.0, 0.0))
+        # the corridor starts at the front bumper, so each actor's own box
+        # touches its corridor; only the other actor may count as a hazard
+        _, (accel_rear, accel_lead) = actor_policy_step(
+            [rear, lead], [LONG_LANE] * 2, [CAR] * 2, [params] * 2, [], 0.1)
+        assert accel_rear < 0
+        assert accel_lead > 0
+
+
+def random_actor_scene(rng, m):
+    """``m`` actors on random two-segment lanes within a 30 m square, random
+    footprints and car-following parameters, plus a random ego box."""
+    states, lanes, dims, params = [], [], [], []
+    for _ in range(m):
+        origin = rng.uniform(-15, 15, size=2)
+        theta = rng.uniform(-math.pi, math.pi)
+        bend = theta + rng.uniform(-0.5, 0.5)
+        mid = origin + rng.uniform(5, 30) * np.array([math.cos(theta), math.sin(theta)])
+        end = mid + rng.uniform(5, 30) * np.array([math.cos(bend), math.sin(bend)])
+        lane = Lane(Polyline([origin, mid, end]))
+        s = rng.uniform(0.0, lane.line.length)
+        point = lane.line.point_at(s)
+        speed = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 15.0)
+        states.append(ActorState(arclength=s, speed=speed,
+                                 pose=Pose2(point[0], point[1], lane.line.tangent_at(s))))
+        lanes.append(lane)
+        dims.append(BoxDims(rng.uniform(1.5, 2.5), rng.uniform(0.7, 1.1)))
+        lookahead = rng.uniform(6.0, 25.0)
+        params.append(CarFollowingParams(
+            desired_speed=rng.uniform(3.0, 15.0), max_accel=rng.uniform(0.5, 3.0),
+            comfortable_decel=rng.uniform(1.0, 6.0), hazard_lookahead=lookahead,
+            min_gap=rng.uniform(0.5, lookahead - 0.1)))
+    ego = OrientedBox(Pose2(*rng.uniform(-15, 15, size=2), rng.uniform(-math.pi, math.pi)),
+                      2.25, 0.9)
+    return states, lanes, dims, params, ego
+
+
+def state_bits(state, accel):
+    return np.array([state.arclength, state.speed, state.pose.x, state.pose.y,
+                     state.pose.heading, accel]).tobytes()
+
+
+def assert_matches_reference(states, lanes, dims, params, shared, dt):
+    """Batched step equals the scalar reference for every actor, bit for
+    bit; returns the reference accelerations."""
+    got_states, got_accels = actor_policy_step(states, lanes, dims, params,
+                                               shared, dt)
+    boxes = [vehicle_box(st.pose, d) for st, d in zip(states, dims)]
+    accels = []
+    for i in range(len(states)):
+        hazards = list(shared) + boxes[:i] + boxes[i + 1:]
+        want, accel = actor_policy_step_reference(states[i], lanes[i], dims[i],
+                                                  hazards, params[i], dt)
+        assert state_bits(got_states[i], got_accels[i]) == state_bits(want, accel)
+        accels.append(accel)
+    return accels
+
+
+class TestActorPolicyStepMatchesReference:
+    def test_random_scenes(self):
+        rng = np.random.default_rng(41)
+        seen = {"cruise": 0, "brake": 0, "hard": 0, "stopped": 0, "lane_end": 0}
+        for trial in range(200):
+            m = int(rng.integers(1, 9))
+            states, lanes, dims, params, ego = random_actor_scene(rng, m)
+            dt = float(rng.choice([0.1, 0.25, 1.0]))
+            accels = assert_matches_reference(states, lanes, dims, params, [ego], dt)
+            new_states, _ = actor_policy_step(states, lanes, dims, params, [ego], dt)
+            for st, new, p, a, lane in zip(states, new_states, params, accels, lanes):
+                seen["cruise"] += a > -p.comfortable_decel
+                seen["brake"] += a == -p.comfortable_decel
+                seen["hard"] += a == -2.0 * p.comfortable_decel
+                seen["stopped"] += new.speed == 0.0 and st.speed > 0.0
+                seen["lane_end"] += new.arclength == lane.line.length
+        assert min(seen.values()) > 0, seen
+
+    def test_one_actor_and_no_shared_hazards(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            states, lanes, dims, params, ego = random_actor_scene(rng, 1)
+            assert_matches_reference(states, lanes, dims, params, [ego], 0.1)
+            assert_matches_reference(states, lanes, dims, params, [], 0.1)
+        assert actor_policy_step([], [], [], [], [], 0.1) == ([], [])
+
+    def test_speed_clipped_at_zero_and_lane_end(self):
+        params = cruise(8.0, comfortable_decel=3.0)
+        blocker = OrientedBox(Pose2(8.0, 0.0, 0.0), 2.25, 0.9)
+        slow = ActorState(arclength=50.0, speed=0.1, pose=Pose2(0.0, 0.0, 0.0))
+        [accel] = assert_matches_reference([slow], [LONG_LANE], [CAR], [params],
+                                           [blocker], 0.1)
+        assert accel == pytest.approx(-1.0)           # realized, not commanded -6
+        short = Lane(Polyline([[0.0, 0.0], [20.0, 0.0]]))
+        near_end = ActorState(arclength=19.5, speed=8.0, pose=Pose2(19.5, 0.0, 0.0))
+        assert_matches_reference([near_end], [short], [CAR], [params], [], 0.1)
+        [new], _ = actor_policy_step([near_end], [short], [CAR], [params], [], 0.1)
+        assert new.arclength == short.line.length and new.speed == 0.0
+        # cruising at the desired speed lands exactly on the end: 19.5 + 8 / 16
+        exact = ActorState(arclength=19.5, speed=8.0, pose=Pose2(19.5, 0.0, 0.0))
+        assert_matches_reference([exact], [short], [CAR], [params], [], 0.0625)
+        [new], _ = actor_policy_step([exact], [short], [CAR], [params], [], 0.0625)
+        assert new.arclength == 20.0 and new.speed == 0.0
+
+    def test_hazard_exactly_touching_the_corridor(self):
+        # axis-aligned corridor: x in [2, 18], |y| <= 0.75 + CORRIDOR_MARGIN / 2
+        # = 2; a hazard with half width 1 centred at y = 3 touches its edge
+        dims = BoxDims(2.0, 0.75)
+        params = cruise(8.0, hazard_lookahead=16.0)
+        state = ActorState(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
+        touching = OrientedBox(Pose2(10.0, 3.0, 0.0), 2.0, 1.0)
+        apart = OrientedBox(Pose2(10.0, 3.0 + 1e-9, 0.0), 2.0, 1.0)
+        ahead = OrientedBox(Pose2(20.0, 0.0, 0.0), 2.0, 1.0)   # rear at x = 18
+        [a_touch] = assert_matches_reference([state], [LONG_LANE], [dims], [params],
+                                             [touching], 0.1)
+        [a_apart] = assert_matches_reference([state], [LONG_LANE], [dims], [params],
+                                             [apart], 0.1)
+        [a_ahead] = assert_matches_reference([state], [LONG_LANE], [dims], [params],
+                                             [ahead], 0.1)
+        assert a_touch < 0 and a_ahead < 0
+        assert a_apart == 0.0
 
 
 class TestStepEpisode:
