@@ -1,8 +1,7 @@
 """Joint energy-based prediction and planning over discrete trajectory candidates."""
 
 from .energy import (BoxDims, EnergyParams, EnergyTables, build_tables,
-                     collision_energy, extract_features, goal_energy,
-                     safety_energy, unary_energy)
+                     extract_features, goal_energy, unary_energy)
 from .geometry import (OrientedBox, Polyline, Pose2, boxes_overlap,
                        point_to_box_distance, project_to_polyline)
 from .inference import (LbpConfig, MarginalSet, conditional_marginals,

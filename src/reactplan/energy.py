@@ -5,6 +5,14 @@ kinematic/lane features. Pairwise interaction energies combine a binary
 collision cost with an asymmetric speed-scaled safety-distance penalty. Both
 interaction terms are evaluated over future waypoints only (index >= 1; the
 first waypoint anchors the present).
+
+Most of the interaction grid is exactly zero, so the tables filter twice by
+centre distance before any box geometry runs: whole actor pairs whose
+candidates cannot come within reach of each other are skipped, and inside the
+remaining pairs the overlap and safety kernels run only on the (candidate,
+candidate, waypoint) entries whose centres are close enough for the answer to
+be non-zero. Both filters are conservative, so the tables are bit-identical
+to evaluating every entry.
 """
 from __future__ import annotations
 
@@ -16,8 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HorizonMismatch
-from .geometry import (OrientedBox, Polyline, boxes_overlap, boxes_overlap_grid,
-                       point_to_box_distance, point_to_box_distance_grid,
+from .geometry import (Polyline, boxes_overlap_grid, point_to_box_distance_grid,
                        wrap_angle)
 from .sampler import Trajectory
 
@@ -211,49 +218,16 @@ def unary_energy(features: np.ndarray, params: EnergyParams, is_ego: bool) -> fl
     return float(features @ weights)
 
 
-def _waypoint_box(traj: Trajectory, dims: BoxDims, t: int) -> OrientedBox:
-    from .geometry import Pose2
-    p = traj.poses[t]
-    return OrientedBox(center=Pose2(p[0], p[1], p[2]),
-                       half_length=dims.half_length, half_width=dims.half_width)
-
-
-def collision_energy(ti: Trajectory, dims_i: BoxDims, tj: Trajectory,
-                     dims_j: BoxDims, gamma: float) -> float:
-    """gamma if the two boxes overlap at any future waypoint, else 0."""
-    _check_horizons(ti, tj)
-    for t in range(1, len(ti)):
-        if boxes_overlap(_waypoint_box(ti, dims_i, t), _waypoint_box(tj, dims_j, t)):
-            return float(gamma)
-    return 0.0
-
-
-def safety_energy(ti: Trajectory, tj: Trajectory, dims_j: BoxDims,
-                  d_safe: float) -> float:
-    """Speed-scaled squared penalty for entering the safety distance.
-
-    Sums speed_i(t) * max(0, d_safe - dist(center_i(t), box_j(t)))^2 over
-    future waypoints; asymmetric in (i, j) by construction.
-    """
-    _check_horizons(ti, tj)
-    total = 0.0
-    for t in range(1, len(ti)):
-        d = point_to_box_distance(ti.positions[t], _waypoint_box(tj, dims_j, t))
-        violation = max(0.0, d_safe - d)
-        total += ti.speeds[t] * violation * violation
-    return total
-
-
 def goal_energy_batch(trajectories: Sequence[Trajectory], goal) -> np.ndarray:
     """Goal energies (K,): final-point distance for a point goal, mean
-    projected distance over future waypoints for a lane goal."""
+    projected distance over future waypoints for a lane goal (candidates
+    sharing one horizon)."""
     if isinstance(goal, Polyline):
-        out = np.empty(len(trajectories))
-        for i, traj in enumerate(trajectories):
-            pts = traj.positions[1:] if len(traj) > 1 else traj.positions
-            dist, _ = goal.project_many(pts)
-            out[i] = dist.mean()
-        return out
+        pos = np.stack([t.positions for t in trajectories])      # (K, T, 2)
+        if pos.shape[1] > 1:
+            pos = pos[:, 1:]
+        dist, _ = goal.project_many(pos.reshape(-1, 2))
+        return dist.reshape(len(pos), -1).mean(axis=1)
     goal_pt = np.asarray(goal, dtype=float)
     finals = np.stack([t.positions[-1] for t in trajectories])
     return np.hypot(finals[:, 0] - goal_pt[0], finals[:, 1] - goal_pt[1])
@@ -274,9 +248,13 @@ def _validate_candidate_grid(candidates: Sequence[Sequence[Trajectory]]) -> int:
     return k
 
 
-# Pairs per grid call in interaction_tables. The SAT grid of one pair holds
-# K*K*(T-1)*4 gaps, so this bounds peak memory, not just speed.
-PAIR_BATCH = 8
+# Pairs per chunk in interaction_tables. A chunk holds float grids of
+# K*K*(T-1) entries per pair, so this bounds peak memory, not just speed.
+PAIR_BATCH = 32
+
+
+def _circumradii(boxes: Sequence[BoxDims]) -> np.ndarray:
+    return np.array([math.hypot(*b) for b in boxes])
 
 
 def _reach_pairs(fut_pos: np.ndarray, boxes: Sequence[BoxDims],
@@ -294,17 +272,32 @@ def _reach_pairs(fut_pos: np.ndarray, boxes: Sequence[BoxDims],
     lo, hi = fut.min(axis=1), fut.max(axis=1)                   # (M, 2)
     gap = np.maximum(0.0, np.maximum(lo[None] - hi[:, None],
                                      lo[:, None] - hi[None]))   # (M, M, 2)
-    radius = np.array([math.hypot(*b) for b in boxes])
+    radius = _circumradii(boxes)
     reach = d_safe + radius[:, None] + radius[None, :] + 1e-6
     near = np.hypot(gap[..., 0], gap[..., 1]) < reach
     return np.argwhere(np.triu(near, 1))
 
 
-def _batched_dims(boxes: Sequence[BoxDims], idx: np.ndarray):
-    """Half extents of actors ``idx``, each shaped (P, 1, 1, 1) to broadcast
-    against the (P, K, K, T-1) pair grid."""
-    dims = np.array([boxes[x] for x in idx]).T
-    return dims.reshape(2, len(idx), 1, 1, 1)
+def _within(dist_sq: np.ndarray, reach: np.ndarray):
+    """Indices (p, a, b, t) of the grid entries whose centre distance is at
+    most ``reach[p]`` + 1e-6, from squared distances (P, K, K, T-1)."""
+    near = dist_sq <= ((reach + 1e-6) ** 2)[:, None, None, None]
+    return np.unravel_index(np.flatnonzero(near), near.shape)
+
+
+def _safety_block(entries, shape, src, dst, pos, heads, speeds, dims, d_safe):
+    """Safety energies (P, K, K) of the candidates of actors ``src`` (axis 1)
+    against the boxes of actors ``dst`` (axis 2), evaluated only at
+    ``entries`` = (p, a_src, b_dst, t) of the grid ``shape``; every other
+    entry contributes exactly zero.
+    """
+    p, a, b, t = entries
+    d, s = dst[p], src[p]
+    dist = point_to_box_distance_grid(pos[s, a, t], pos[d, b, t], heads[d, b, t],
+                                      dims[d].T)
+    pen_sq = np.zeros(shape)
+    pen_sq[p, a, b, t] = np.maximum(0.0, d_safe - dist) ** 2
+    return np.einsum("pat,pabt->pab", speeds[src], pen_sq)
 
 
 def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
@@ -315,34 +308,47 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
     The collision part is filled symmetrically under (i, a, j, b) <->
     (j, b, i, a); the safety part is evaluated per ordered pair and is
     generally asymmetric. Pairs that cannot come within reach of each other
-    (see ``_reach_pairs``) keep exact zero blocks; the others are evaluated
-    PAIR_BATCH pairs per grid call.
+    (see ``_reach_pairs``) keep exact zero blocks. The others go PAIR_BATCH
+    unordered pairs at a time through one squared centre-distance grid
+    (P, K, K, T-1), and each kernel runs only on the grid entries where its
+    answer can be non-zero: the separating-axis test where centres are within
+    r_i + r_j (boxes further apart cannot touch), the point-to-box distance
+    in each direction where they are within d_safe + r_dst. The answers are
+    scattered back into all-false and all-zero grids, and every kernel is
+    elementwise, so the tables are bit-identical to evaluating every entry.
     """
     m = len(candidates)
     k = _validate_candidate_grid(candidates)
-    pos = np.stack([np.stack([c.positions for c in cands]) for cands in candidates])
-    heads = np.stack([np.stack([c.headings for c in cands]) for cands in candidates])
-    speeds = np.stack([np.stack([c.speeds for c in cands]) for cands in candidates])
+    poses = np.stack([np.stack([c.poses[1:] for c in cands]) for cands in candidates])
+    speeds = np.stack([np.stack([c.speeds[1:] for c in cands]) for cands in candidates])
+    pos, heads = poses[..., :2], poses[..., 2]
 
     pairwise = np.zeros((m, m, k, k))
-    pos, heads, speeds = pos[:, :, 1:], heads[:, :, 1:], speeds[:, :, 1:]
+    if poses.shape[2] == 0:                  # no future waypoint, no energy
+        return pairwise
+    dims = np.array(boxes, dtype=float).reshape(m, 2)
+    radius = _circumradii(boxes)
     pairs = _reach_pairs(pos, boxes, d_safe)
+    args = (pos, heads, speeds, dims, d_safe)
     for start in range(0, len(pairs), PAIR_BATCH):
         i, j = pairs[start:start + PAIR_BATCH].T
-        hit = boxes_overlap_grid(
-            pos[i][:, :, None], heads[i][:, :, None], _batched_dims(boxes, i),
-            pos[j][:, None], heads[j][:, None], _batched_dims(boxes, j))
-        coll = gamma * np.any(hit, axis=-1)
-        pairwise[i, j] += coll
-        pairwise[j, i] += coll.transpose(0, 2, 1)
-    ordered = np.concatenate([pairs, pairs[:, ::-1]])
-    for start in range(0, len(ordered), PAIR_BATCH):
-        i, j = ordered[start:start + PAIR_BATCH].T
-        dist = point_to_box_distance_grid(
-            pos[i][:, :, None], pos[j][:, None], heads[j][:, None],
-            _batched_dims(boxes, j))
-        pen = np.maximum(0.0, d_safe - dist)
-        pairwise[i, j] += np.einsum("pat,pabt->pab", speeds[i], pen ** 2)
+        rel = pos[i][:, :, None] - pos[j][:, None]             # (P, K, K, T-1, 2)
+        dist_sq = rel[..., 0] ** 2 + rel[..., 1] ** 2
+        grid = dist_sq.shape
+        p, a, b, t = _within(dist_sq, radius[i] + radius[j])
+        ii, jj = i[p], j[p]
+        touch = boxes_overlap_grid(pos[ii, a, t], heads[ii, a, t], dims[ii].T,
+                                   pos[jj, b, t], heads[jj, b, t], dims[jj].T)
+        hit = np.zeros(grid[:3], dtype=bool)
+        hit[p[touch], a[touch], b[touch]] = True
+        coll = gamma * hit
+        # A waypoint further than d_safe + r_dst from the other box's centre
+        # is at least d_safe from the box, so its safety penalty is zero.
+        near_j = _within(dist_sq, d_safe + radius[j])
+        pairwise[i, j] = coll + _safety_block(near_j, grid, i, j, *args)
+        p, a, b, t = _within(dist_sq, d_safe + radius[i])
+        pairwise[j, i] = (coll.transpose(0, 2, 1)
+                          + _safety_block((p, b, a, t), grid, j, i, *args))
     return pairwise
 
 

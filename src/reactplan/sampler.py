@@ -41,9 +41,9 @@ class Trajectory:
             raise ValueError("poses must be a (T, 3) array with T >= 1")
         if speeds.shape != (poses.shape[0],):
             raise ValueError("speeds must be a (T,) array")
-        if not (np.all(np.isfinite(poses)) and np.all(np.isfinite(speeds))):
+        if not (np.isfinite(poses).all() and np.isfinite(speeds).all()):
             raise ValueError("trajectory entries must be finite")
-        if np.any(speeds < 0):
+        if (speeds < 0).any():
             raise ValueError("speeds must be non-negative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -173,29 +173,42 @@ def estimate_state(past: Trajectory) -> KinematicState:
     return KinematicState(pose=Pose2(p[0], p[1], p[2]), speed=speed)
 
 
-def draw_controls(cfg: SamplerConfig, index: int) -> CandidateControls:
-    """Control parameters for candidate ``index`` (index >= 1).
+def _draw_control_arrays(cfg: SamplerConfig, indices) -> tuple[np.ndarray, ...]:
+    """Modes, accelerations, curvatures and curvature rates, each (n,), for
+    the candidates ``indices`` (each >= 1).
 
-    Each candidate owns an independent generator derived from (seed, index),
+    Each candidate owns an independent PCG64 stream seeded by (seed, index),
     so the draw for one candidate never depends on how many others exist.
+    Its first four 64-bit words become uniform doubles as
+    ``Generator.uniform`` makes them, (word >> 11) * 2**-53 scaled to the
+    range, for all candidates at once: word 0 picks the mode, word 1 the
+    acceleration, word 2 the curvature (circle and spiral) and word 3 the
+    curvature rate (spiral).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(index)]))
-    u = rng.uniform()
+    words = np.array([np.random.PCG64(np.random.SeedSequence([int(cfg.seed), int(i)]))
+                      .random_raw(4) for i in indices], dtype=np.uint64).reshape(-1, 4)
+    unit = (words >> np.uint64(11)) * 2.0 ** -53
+
+    def uniform(col, bounds):
+        lo, hi = float(bounds[0]), float(bounds[1])
+        return lo + (hi - lo) * unit[:, col]
+
     p_line, p_circle, _ = cfg.mode_probs
-    if u < p_line:
-        mode = MODE_LINE
-    elif u < p_line + p_circle:
-        mode = MODE_CIRCLE
-    else:
-        mode = MODE_SPIRAL
-    accel = rng.uniform(*cfg.accel_range)
-    curvature = 0.0
-    rate = 0.0
-    if mode in (MODE_CIRCLE, MODE_SPIRAL):
-        curvature = rng.uniform(*cfg.curvature_range)
-    if mode == MODE_SPIRAL:
-        rate = rng.uniform(*cfg.spiral_rate_range)
-    return CandidateControls(mode=mode, accel=accel, curvature=curvature, curvature_rate=rate)
+    u = unit[:, 0]
+    mode = np.where(u < p_line, MODE_LINE,
+                    np.where(u < p_line + p_circle, MODE_CIRCLE, MODE_SPIRAL))
+    accel = uniform(1, cfg.accel_range)
+    curvature = np.where(mode != MODE_LINE, uniform(2, cfg.curvature_range), 0.0)
+    rate = np.where(mode == MODE_SPIRAL, uniform(3, cfg.spiral_rate_range), 0.0)
+    return mode, accel, curvature, rate
+
+
+def draw_controls(cfg: SamplerConfig, index: int) -> CandidateControls:
+    """Control parameters for candidate ``index`` (index >= 1); see
+    ``_draw_control_arrays``."""
+    mode, accel, curvature, rate = (x[0] for x in _draw_control_arrays(cfg, [index]))
+    return CandidateControls(mode=int(mode), accel=float(accel),
+                             curvature=float(curvature), curvature_rate=float(rate))
 
 
 def integrate_controls(state: KinematicState, controls, cfg: SamplerConfig,
@@ -208,12 +221,16 @@ def integrate_controls(state: KinematicState, controls, cfg: SamplerConfig,
     """
     if isinstance(controls, CandidateControls):
         controls = [controls]
-    n = len(controls)
-    T = cfg.horizon_steps
-    accel = np.array([c.accel for c in controls])
-    kappa0 = np.array([c.curvature for c in controls])
-    rate = np.array([c.curvature_rate for c in controls])
+    return _rollout(state, np.array([c.accel for c in controls]),
+                    np.array([c.curvature for c in controls]),
+                    np.array([c.curvature_rate for c in controls]), cfg, start_time)
 
+
+def _rollout(state: KinematicState, accel: np.ndarray, kappa0: np.ndarray,
+             rate: np.ndarray, cfg: SamplerConfig, start_time: float) -> list[Trajectory]:
+    """``integrate_controls`` for control arrays, each (n,)."""
+    n = len(accel)
+    T = cfg.horizon_steps
     h0 = state.pose.heading
     v0 = state.speed
     poses = np.empty((n, T, 3))
@@ -266,8 +283,8 @@ def sample_candidates(state: KinematicState, cfg: SamplerConfig,
     """
     candidates = [_stationary(state, cfg, start_time)]
     if cfg.k > 1:
-        controls = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
-        candidates.extend(integrate_controls(state, controls, cfg, start_time))
+        _, accel, curvature, rate = _draw_control_arrays(cfg, range(1, cfg.k))
+        candidates.extend(_rollout(state, accel, curvature, rate, cfg, start_time))
     return candidates
 
 

@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 
-from reactplan.energy import BoxDims, EnergyTables
+from reactplan.energy import BoxDims, EnergyTables, _check_horizons
 from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 boxes_overlap, boxes_overlap_grid,
                                 point_to_box_distance, point_to_box_distance_grid,
                                 wrap_angle)
 from reactplan.inference import _lse, _softmax
-from reactplan.sampler import (INTEGRATION_SUBSTEPS, CandidateControls,
-                               KinematicState, SamplerConfig, Trajectory,
-                               sample_candidates)
+from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
+                               MODE_SPIRAL, CandidateControls, KinematicState,
+                               SamplerConfig, Trajectory, sample_candidates)
 from reactplan.simulator import CORRIDOR_MARGIN, ActorState
 
 
@@ -279,6 +279,35 @@ def interaction_tables_reference(candidates, boxes, gamma, d_safe):
     return pairwise
 
 
+def waypoint_box(traj, dims, t) -> OrientedBox:
+    p = traj.poses[t]
+    return OrientedBox(center=Pose2(p[0], p[1], p[2]),
+                       half_length=dims.half_length, half_width=dims.half_width)
+
+
+def collision_energy(ti, dims_i, tj, dims_j, gamma) -> float:
+    """Scalar reference for the collision part of ``interaction_tables``:
+    gamma if the two boxes overlap at any future waypoint, else 0."""
+    _check_horizons(ti, tj)
+    for t in range(1, len(ti)):
+        if boxes_overlap(waypoint_box(ti, dims_i, t), waypoint_box(tj, dims_j, t)):
+            return float(gamma)
+    return 0.0
+
+
+def safety_energy(ti, tj, dims_j, d_safe) -> float:
+    """Scalar reference for the safety part of ``interaction_tables``: the sum
+    of speed_i(t) * max(0, d_safe - dist(center_i(t), box_j(t)))^2 over future
+    waypoints; asymmetric in (i, j) by construction."""
+    _check_horizons(ti, tj)
+    total = 0.0
+    for t in range(1, len(ti)):
+        d = point_to_box_distance(ti.positions[t], waypoint_box(tj, dims_j, t))
+        violation = max(0.0, d_safe - d)
+        total += ti.speeds[t] * violation * violation
+    return total
+
+
 def penetration_depth(a: OrientedBox, b: OrientedBox) -> float:
     """Minimum separating-axis overlap; positive iff the boxes overlap with
     some depth."""
@@ -320,6 +349,30 @@ def actor_policy_step_reference(state, lane, own_box, hazards, params, dt):
     point = lane.line.point_at(new_s)
     pose = Pose2(point[0], point[1], lane.line.tangent_at(new_s))
     return ActorState(arclength=new_s, speed=new_speed, pose=pose), realized
+
+
+def draw_controls_reference(cfg, index):
+    """Reference for ``sampler.draw_controls``: one ``Generator`` per
+    candidate, seeded by (seed, index), with one ``uniform`` call per drawn
+    parameter."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(index)]))
+    u = rng.uniform()
+    p_line, p_circle, _ = cfg.mode_probs
+    if u < p_line:
+        mode = MODE_LINE
+    elif u < p_line + p_circle:
+        mode = MODE_CIRCLE
+    else:
+        mode = MODE_SPIRAL
+    accel = rng.uniform(*cfg.accel_range)
+    curvature = 0.0
+    rate = 0.0
+    if mode in (MODE_CIRCLE, MODE_SPIRAL):
+        curvature = rng.uniform(*cfg.curvature_range)
+    if mode == MODE_SPIRAL:
+        rate = rng.uniform(*cfg.spiral_rate_range)
+    return CandidateControls(mode=mode, accel=accel, curvature=curvature,
+                             curvature_rate=rate)
 
 
 def integrate_controls_reference(state, controls, cfg, start_time=0.0):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (interaction_tables_reference, random_scene,
-                      stationary_trajectory, straight_trajectory)
+from conftest import (collision_energy, interaction_tables_reference,
+                      random_scene, safety_energy, stationary_trajectory,
+                      straight_trajectory)
 from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
-                              build_tables, collision_energy, extract_features,
-                              goal_energy, interaction_tables, safety_energy,
+                              build_tables, extract_features, goal_energy,
+                              goal_energy_batch, interaction_tables,
                               unary_energy)
 from reactplan.errors import DimensionMismatch, HorizonMismatch
 from reactplan.geometry import Polyline
@@ -177,6 +178,18 @@ class TestGoalEnergy:
                 speeds=traj.speeds)
             assert goal_energy(moved, moved_lane) == pytest.approx(base, abs=1e-9)
 
+    def test_lane_batch_equals_per_candidate_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            candidates, _, lanes, _ = random_scene(
+                rng, n_actors=0, k=int(rng.integers(1, 20)),
+                steps=int(rng.integers(1, 12)))
+            lane = lanes[0]
+            want = np.array([lane.project_many(t.positions[1:] if len(t) > 1
+                                               else t.positions)[0].mean()
+                             for t in candidates[0]])
+            assert np.array_equal(goal_energy_batch(candidates[0], lane), want)
+
 
 class TestBuildTables:
     def test_single_actor_zero_pairwise(self):
@@ -298,6 +311,35 @@ def boundary_pair(rng, d_safe, offset, k=3):
     return cands, boxes
 
 
+# Box sizes for corner-touch pairs. For (2.25, 1.0) the squared centre
+# distance rounds above (r_i + r_j)^2, so the entry filter needs its margin.
+TOUCH_BOXES = (CAR, BoxDims(2.25, 1.0))
+
+
+def corner_touch_pair(box, k=2):
+    """Two equal boxes with the same heading whose corners touch: the centres
+    are exactly r_i + r_j apart, along the boxes' diagonal."""
+    far = (10.0 + 2 * box.half_length, 5.0 + 2 * box.half_width)
+    cands = [[stationary_trajectory(p, steps=4) for _ in range(k)]
+             for p in ((10.0, 5.0), far)]
+    return cands, [box, box]
+
+
+def safety_edge_pair(d_safe, speed=3.0):
+    """A moving actor against a stationary CAR at the origin. Its candidate 0
+    sits exactly d_safe above the box; candidates 1 and 2 sit on the box's
+    diagonal, 1e-3 m outside and inside the centre distance d_safe + r_j."""
+    diagonal = np.array([CAR.half_length, CAR.half_width]) / math.hypot(*CAR)
+    reach = d_safe + math.hypot(*CAR)
+    points = [(0.0, CAR.half_width + d_safe),
+              tuple((reach + 1e-3) * diagonal), tuple((reach - 1e-3) * diagonal)]
+    mover = [Trajectory(start_time=0.0, dt=0.5,
+                        poses=np.array([[100.0, 100.0, 0.0], [x, y, 0.0]]),
+                        speeds=np.full(2, speed)) for x, y in points]
+    other = [stationary_trajectory((0.0, 0.0), steps=2) for _ in points]
+    return [mover, other], [CAR, CAR]
+
+
 class TestPrunedInteractionTables:
     def scenes(self, params):
         rng = np.random.default_rng(11)
@@ -308,6 +350,38 @@ class TestPrunedInteractionTables:
                 extra, extra_boxes = boundary_pair(rng, params.d_safe, offset)
                 candidates, boxes = candidates + extra, boxes + extra_boxes
             yield candidates, boxes
+        yield random_scene(rng, n_actors=22, k=4, span=4.0)[:2]
+        for box in TOUCH_BOXES:
+            yield corner_touch_pair(box)
+        yield safety_edge_pair(params.d_safe)
+
+    def test_single_waypoint_horizon_has_no_interaction(self):
+        params = EnergyParams()
+        candidates, boxes, _, _ = random_scene(np.random.default_rng(13),
+                                               n_actors=3, k=3, steps=1, span=1.0)
+        got = interaction_tables(candidates, boxes, params.gamma, params.d_safe)
+        assert got.shape == (4, 4, 3, 3) and np.all(got == 0.0)
+        assert np.array_equal(got, interaction_tables_reference(
+            candidates, boxes, params.gamma, params.d_safe))
+
+    @pytest.mark.parametrize("box", TOUCH_BOXES)
+    def test_corner_touch_counts_as_collision(self, box):
+        params = EnergyParams()
+        cands, boxes = corner_touch_pair(box)
+        table = interaction_tables(cands, boxes, params.gamma, params.d_safe)
+        assert np.all(table[0, 1] == params.gamma)
+        assert np.all(table[1, 0] == params.gamma)
+
+    def test_safety_entry_boundaries(self):
+        params = EnergyParams()
+        cands, boxes = safety_edge_pair(params.d_safe)
+        table = interaction_tables(cands, boxes, params.gamma, params.d_safe)
+        assert np.all(table[0, 1, :2] == 0.0)     # exactly d_safe; 1e-3 m outside
+        assert np.all(table[0, 1, 2] > 0.0)       # 1e-3 m inside
+        assert np.all(table[1, 0] == 0.0)         # the box does not move
+        for b in range(3):
+            assert table[0, 1, 2, b] == pytest.approx(
+                safety_energy(cands[0][2], cands[1][b], CAR, params.d_safe), rel=1e-12)
 
     def test_bit_identical_to_per_pair_reference(self):
         params = EnergyParams()

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (integrate_controls_reference, stationary_trajectory,
-                      straight_trajectory)
+from conftest import (draw_controls_reference, integrate_controls_reference,
+                      stationary_trajectory, straight_trajectory)
 from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
                                KinematicState, SamplerConfig, Trajectory,
-                               closest_candidate, draw_controls, estimate_state,
-                               integrate_controls, sample_candidates,
-                               trajectory_l2)
+                               _draw_control_arrays, closest_candidate,
+                               draw_controls, estimate_state, integrate_controls,
+                               sample_candidates, trajectory_l2)
 
 
 def make_past(step_lengths, dt=0.1, heading=0.0):
@@ -150,6 +150,71 @@ class TestIntegrateControlsMatchesReference:
             assert g.poses.shape == (1, 3)
             assert np.array_equal(g.poses, w.poses)
             assert np.array_equal(g.speeds, w.speeds)
+
+
+class TestDrawControlsMatchesReference:
+    def test_bit_identical_to_one_generator_per_candidate(self):
+        modes = set()
+        for seed in (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3):
+            for probs in ((0.3, 0.2, 0.5), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                          (0.0, 0.0, 1.0)):
+                cfg = SamplerConfig(k=19, seed=seed, mode_probs=probs,
+                                    accel_range=(-4.0, 3.0),
+                                    curvature_range=(-0.2, 0.25),
+                                    spiral_rate_range=(-0.1, 0.05))
+                for idx in range(1, cfg.k):
+                    got = draw_controls(cfg, idx)
+                    assert got == draw_controls_reference(cfg, idx)
+                    assert type(got.mode) is int and type(got.accel) is float
+                    modes.add(got.mode)
+        assert modes == {MODE_LINE, MODE_CIRCLE, MODE_SPIRAL}
+
+    def test_batch_draw_does_not_depend_on_k(self):
+        cfg = SamplerConfig(k=19, seed=2 ** 33 + 5)
+        singles = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
+        for k in (2, 3, 11, 19):
+            mode, accel, curvature, rate = _draw_control_arrays(cfg, range(1, k))
+            assert len(mode) == k - 1
+            for n, c in enumerate(singles[:k - 1]):
+                assert (mode[n], accel[n], curvature[n], rate[n]) == (
+                    c.mode, c.accel, c.curvature, c.curvature_rate)
+
+
+class TestTrajectoryValidation:
+    def make(self, poses=None, speeds=None, dt=0.5):
+        poses = np.zeros((4, 3)) if poses is None else poses
+        speeds = np.ones(4) if speeds is None else speeds
+        return Trajectory(start_time=0.0, dt=dt, poses=poses, speeds=speeds)
+
+    def test_valid(self):
+        assert len(self.make()) == 4
+
+    def test_bad_poses_shape(self):
+        with pytest.raises(ValueError, match="poses must be a"):
+            self.make(poses=np.zeros((4, 2)))
+
+    def test_bad_speeds_shape(self):
+        with pytest.raises(ValueError, match="speeds must be a"):
+            self.make(speeds=np.ones(3))
+
+    def test_non_finite_pose(self):
+        poses = np.zeros((4, 3))
+        poses[2, 1] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            self.make(poses=poses)
+
+    def test_nan_speed(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            self.make(speeds=np.array([1.0, np.nan, 1.0, 1.0]))
+
+    def test_negative_speed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.make(speeds=np.array([1.0, 1.0, -1e-9, 1.0]))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5])
+    def test_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            self.make(dt=dt)
 
 
 class TestModeFrequencies:
