@@ -80,6 +80,10 @@ class EnergyParams:
     def __post_init__(self):
         w_ego = np.asarray(self.w_ego, dtype=float)
         w_actor = np.asarray(self.w_actor, dtype=float)
+        if w_ego.shape != (N_FEATURES,) or w_actor.shape != (N_FEATURES,):
+            raise DimensionMismatch(
+                f"weights must have shape ({N_FEATURES},), got {w_ego.shape} and "
+                f"{w_actor.shape}")
         if not (np.all(np.isfinite(w_ego)) and np.all(np.isfinite(w_actor))):
             raise ValueError("weights must be finite")
         if self.gamma <= 0 or self.d_safe <= 0:
@@ -203,21 +207,6 @@ def extract_features_batch(trajectories: Sequence[Trajectory], lane: Polyline,
     return np.stack([progress, lateral, accel_sq, curv_sq, speed_dev, alignment], axis=1)
 
 
-def extract_features(traj: Trajectory, lane: Polyline, ref_speed: float) -> np.ndarray:
-    """Feature vector (6,) for one candidate; see FEATURE_NAMES."""
-    return extract_features_batch([traj], lane, ref_speed)[0]
-
-
-def unary_energy(features: np.ndarray, params: EnergyParams, is_ego: bool) -> float:
-    """Dot product of features with the ego or actor weight vector."""
-    features = np.asarray(features, dtype=float)
-    weights = params.w_ego if is_ego else params.w_actor
-    if features.shape != weights.shape:
-        raise DimensionMismatch(
-            f"feature length {features.shape} does not match weights {weights.shape}")
-    return float(features @ weights)
-
-
 def goal_energy_batch(trajectories: Sequence[Trajectory], goal) -> np.ndarray:
     """Goal energies (K,): final-point distance for a point goal, mean
     projected distance over future waypoints for a lane goal (candidates
@@ -231,10 +220,6 @@ def goal_energy_batch(trajectories: Sequence[Trajectory], goal) -> np.ndarray:
     goal_pt = np.asarray(goal, dtype=float)
     finals = np.stack([t.positions[-1] for t in trajectories])
     return np.hypot(finals[:, 0] - goal_pt[0], finals[:, 1] - goal_pt[1])
-
-
-def goal_energy(traj: Trajectory, goal) -> float:
-    return float(goal_energy_batch([traj], goal)[0])
 
 
 def _validate_candidate_grid(candidates: Sequence[Sequence[Trajectory]]) -> int:
@@ -361,20 +346,16 @@ def build_tables(candidates: Sequence[Sequence[Trajectory]],
     """Assemble unary, pairwise and goal energies for one scene.
 
     ``candidates[i]`` are the K candidates of actor i (0 = ego), each with the
-    same horizon; ``lanes[i]`` and ``ref_speeds[i]`` provide the unary feature
-    context per actor.
+    same horizon (checked once, by ``interaction_tables``); ``lanes[i]`` and
+    ``ref_speeds[i]`` provide the unary feature context per actor.
     """
-    m = len(candidates)
-    if not (len(boxes) == len(lanes) == len(ref_speeds) == m):
+    if not (len(boxes) == len(lanes) == len(ref_speeds) == len(candidates)):
         raise ValueError("candidates, boxes, lanes, ref_speeds must align")
-    k = _validate_candidate_grid(candidates)
-
-    unary = np.empty((m, k))
-    for i, cands in enumerate(candidates):
-        feats = extract_features_batch(cands, lanes[i], ref_speeds[i])
-        weights = params.w_ego if i == 0 else params.w_actor
-        unary[i] = feats @ weights
-
+    # interaction_tables validates the candidate grid, so it runs first
     pairwise = interaction_tables(candidates, boxes, params.gamma, params.d_safe)
+    unary = np.stack([
+        extract_features_batch(cands, lanes[i], ref_speeds[i])
+        @ (params.w_ego if i == 0 else params.w_actor)
+        for i, cands in enumerate(candidates)])
     goal_vec = goal_energy_batch(candidates[0], goal)
     return EnergyTables(unary=unary, pairwise=pairwise, goal=goal_vec)

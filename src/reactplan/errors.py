@@ -14,7 +14,7 @@ class HorizonMismatch(ReactplanError):
 
 
 class DimensionMismatch(ReactplanError):
-    """Feature and weight vectors have different lengths."""
+    """A weight vector does not hold one entry per feature."""
 
 
 class NumericalFailure(ReactplanError):

@@ -230,8 +230,3 @@ def point_to_box_distance(point, box: OrientedBox) -> float:
     return float(point_to_box_distance_grid(
         np.asarray(point, dtype=float), box.center.position, box.center.heading,
         (box.half_length, box.half_width)))
-
-
-def project_to_polyline(point, line: Polyline) -> tuple[float, float]:
-    """Minimum distance to the polyline and the arclength of the nearest point."""
-    return line.project(point)

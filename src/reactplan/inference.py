@@ -26,6 +26,7 @@ from .errors import (DegenerateCondition, EmptyConditioningSet,
                      NumericalFailure, StateSpaceTooLarge)
 
 MAX_JOINT_STATES = 10_000_000
+DEGENERATE_MASS = 1e-12      # ego mass at or below which conditioning is refused
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,14 @@ def _softmax(x, axis=-1):
     return np.exp(x - _lse(x, axis=axis, keepdims=True))
 
 
+def edge_potentials(pairwise: np.ndarray) -> np.ndarray:
+    """Combined log edge potentials (M, M, K, K) from stored pair energies."""
+    return -(pairwise + pairwise.transpose(1, 0, 3, 2))
+
+
 def tables_to_potentials(tables: EnergyTables) -> tuple[np.ndarray, np.ndarray]:
     """Log node and combined log edge potentials from energy tables."""
-    log_node = -tables.unary
-    log_edge = -(tables.pairwise + tables.pairwise.transpose(1, 0, 3, 2))
-    return log_node, log_edge
+    return -tables.unary, edge_potentials(tables.pairwise)
 
 
 @dataclass
@@ -300,38 +304,38 @@ def exact_marginals(tables: EnergyTables) -> MarginalSet:
                                    iters_used=0, residuals=[])
 
 
-def conditional_marginals(ms: MarginalSet, ego_candidate: int,
-                          eps: float = 1e-12) -> np.ndarray:
-    """Actor marginals conditioned on one ego candidate, shape (N, K).
+def set_conditionals(ms: MarginalSet, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Actor marginals conditioned on the ego choosing from each row of the
+    (R, s) index array ``members``, shape (R, N, K), and an (R,) mask of the
+    degenerate rows.
 
-    Reads the ego-actor pairwise beliefs directly, so a single inference pass
-    serves every ego candidate.
+    Every row is read off the ego-actor pairwise beliefs of one inference
+    pass: a logsumexp over the row's members, in the row's order (sort rows
+    ascending for a canonical result), then a log-normalization per actor. A
+    row is degenerate when the ego mass of its members is at most
+    DEGENERATE_MASS; with no actors nothing is conditioned, so no row is.
     """
-    n = ms.n_nodes - 1
-    if n == 0:
-        return np.zeros((0, ms.k))
-    if not 0 <= ego_candidate < ms.k:
-        raise IndexError("ego candidate out of range")
-    if ms.marginals[0, ego_candidate] <= eps:
-        raise DegenerateCondition(
-            f"ego candidate {ego_candidate} has mass <= {eps}")
-    rows = ms.log_pairwise_beliefs[0, 1:, ego_candidate, :]       # (N, K)
-    return np.exp(rows - _lse(rows, axis=1, keepdims=True))
+    blocks = ms.log_pairwise_beliefs[0, 1:].transpose(1, 0, 2)[members]   # (R, s, N, K)
+    rows = _lse(blocks, axis=1)
+    conditionals = np.exp(rows - _lse(rows, axis=2, keepdims=True))
+    mass = ms.marginals[0][members].sum(axis=1)
+    return conditionals, (ms.n_nodes > 1) & (mass <= DEGENERATE_MASS)
 
 
-def set_conditional_marginals(ms: MarginalSet, candidate_set,
-                              eps: float = 1e-12) -> np.ndarray:
+def set_conditional_marginals(ms: MarginalSet, candidate_set) -> np.ndarray:
     """Actor marginals conditioned on the ego choosing from a set, shape (N, K)."""
     members = sorted(set(int(a) for a in candidate_set))
     if not members:
         raise EmptyConditioningSet("conditioning set must be non-empty")
     if members[0] < 0 or members[-1] >= ms.k:
         raise IndexError("conditioning set member out of range")
-    if float(ms.marginals[0, members].sum()) <= eps:
-        raise DegenerateCondition("conditioning set has mass <= eps")
-    n = ms.n_nodes - 1
-    if n == 0:
-        return np.zeros((0, ms.k))
-    blocks = ms.log_pairwise_beliefs[0, 1:][:, members, :]        # (N, |S|, K)
-    rows = _lse(blocks, axis=1)
-    return np.exp(rows - _lse(rows, axis=1, keepdims=True))
+    conditionals, degenerate = set_conditionals(ms, np.array([members]))
+    if degenerate[0]:
+        raise DegenerateCondition(
+            f"conditioning set {members} has mass <= {DEGENERATE_MASS}")
+    return conditionals[0]
+
+
+def conditional_marginals(ms: MarginalSet, ego_candidate: int) -> np.ndarray:
+    """Actor marginals conditioned on one ego candidate, shape (N, K)."""
+    return set_conditional_marginals(ms, [ego_candidate])

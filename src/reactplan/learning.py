@@ -23,9 +23,10 @@ from .energy import (BoxDims, EnergyParams, N_FEATURES, extract_features_batch,
                      interaction_tables, EnergyTables)
 from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure)
 from .geometry import Polyline
-from .inference import LbpConfig, MarginalSet, lbp_pass, _lse, _softmax
-from .sampler import (SamplerConfig, Trajectory, closest_candidate,
-                      estimate_state, sample_candidates, trajectory_l2)
+from .inference import (LbpConfig, MarginalSet, edge_potentials, lbp_pass, _lse,
+                        _softmax)
+from .sampler import (SamplerConfig, Trajectory, estimate_state,
+                      nearest_candidates, sample_candidates)
 
 LOG_CLIP = math.log(1e-30)
 
@@ -110,11 +111,8 @@ def label_and_ignore(candidates: list[list[Trajectory]],
         if k_ignore >= len(cands):
             raise InvalidIgnoreSize(
                 f"k_ignore {k_ignore} must be < K = {len(cands)}")
-        gt_idx = closest_candidate(cands, target)
-        ranked = sorted((trajectory_l2(c, target), idx)
-                        for idx, c in enumerate(cands) if idx != gt_idx)
-        ignore = tuple(idx for _, idx in ranked[:k_ignore])
-        labels.append((gt_idx, ignore))
+        order = nearest_candidates(cands, [target])[0].tolist()
+        labels.append((order[0], tuple(order[1:k_ignore + 1])))
     return labels
 
 
@@ -240,10 +238,8 @@ def example_loss(params: EnergyParams, example: TrainingExample,
     candidates, feats, pairwise = features_and_pairwise(example, sampler_cfg, params)
     labels = label_and_ignore(candidates, example.futures, train_cfg.k_ignore)
     unary = _weights_to_unary(feats, params.w_ego, params.w_actor)
-    log_node = -unary
-    log_edge = -(pairwise + pairwise.transpose(1, 0, 3, 2))
     node_dot = _unary_tangents(feats) if with_gradient else None
-    res = lbp_pass(log_node, log_edge, train_cfg.lbp, node_dot=node_dot)
+    res = lbp_pass(-unary, edge_potentials(pairwise), train_cfg.lbp, node_dot=node_dot)
     k = unary.shape[1]
     renorm = train_cfg.renormalize_ignored
     node, gn, clip_a = _node_loss(res.log_marginals, labels, k, renorm,
@@ -315,7 +311,7 @@ def predict_top1(params: EnergyParams, example: TrainingExample,
     candidates, feats, pairwise = features_and_pairwise(example, sampler_cfg, params)
     labels = label_and_ignore(candidates, example.futures, 0)
     unary = _weights_to_unary(feats, params.w_ego, params.w_actor)
-    res = lbp_pass(-unary, -(pairwise + pairwise.transpose(1, 0, 3, 2)), lbp_cfg)
+    res = lbp_pass(-unary, edge_potentials(pairwise), lbp_cfg)
     pred = np.argmax(res.log_marginals, axis=1)
     return [int(pred[i]) == gt for i, (gt, _) in enumerate(labels)]
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .energy import EnergyTables
-from .errors import DegenerateCondition, InvalidSetSize
-from .inference import (LbpConfig, MarginalSet, conditional_marginals, lbp,
-                        set_conditional_marginals)
-from .sampler import Trajectory, trajectory_l2
+from .errors import InvalidSetSize
+from .inference import LbpConfig, MarginalSet, lbp, set_conditionals
+from .sampler import Trajectory, nearest_candidates
 
 VARIANTS = ("reactive", "nonreactive", "interpolated")
 
@@ -99,52 +98,77 @@ class PlanResult:
 
 def ego_pair_energy(tables: EnergyTables) -> np.ndarray:
     """Both-direction ego/actor pair energies, shape (N, K_ego, K_actor)."""
-    n = tables.n_actors
-    if n == 0:
-        return np.zeros((0, tables.k, tables.k))
     return tables.pairwise[0, 1:] + tables.pairwise[1:, 0].transpose(0, 2, 1)
 
 
-def _terms(tables: EnergyTables, prediction: np.ndarray, a0: int,
-           cfg: PlannerConfig, include_actor_unary: bool):
-    pair = ego_pair_energy(tables)
-    inter = cfg.lambda_b * float(np.sum(prediction * pair[:, a0, :]))
-    actor = 0.0
-    if include_actor_unary:
-        actor = cfg.lambda_c * float(np.sum(prediction * tables.unary[1:]))
-    ego = float(tables.unary[0, a0])
-    goal = cfg.w_goal * float(tables.goal[a0])
-    return ego, inter, actor, goal
+def conditioning_sets(ego_candidates: list[Trajectory], set_size: int) -> np.ndarray:
+    """Conditioning sets of all K candidates, shape (K, set_size): row a holds
+    candidate a, then its set_size - 1 nearest other candidates by squared
+    waypoint distance, ties toward the lower index."""
+    k = len(ego_candidates)
+    if not 1 <= set_size <= k:
+        raise InvalidSetSize(f"set size {set_size} outside [1, {k}]")
+    order = nearest_candidates(ego_candidates, ego_candidates)
+    own = np.arange(k)[:, None]
+    others = order[order != own].reshape(k, k - 1)
+    return np.hstack([own, others[:, :set_size - 1]])
+
+
+def conditioning_set(ego_candidates: list[Trajectory], a0: int, k: int) -> list[int]:
+    """Row a0 of ``conditioning_sets``."""
+    return conditioning_sets(ego_candidates, k)[a0].tolist()
+
+
+def score(ego_candidates: list[Trajectory], tables: EnergyTables, ms: MarginalSet,
+          cfg: PlannerConfig) -> PlanResult:
+    """All K objective values of ``cfg.variant`` under the beliefs ``ms``.
+
+    Each variant is one contraction over every candidate at once. The actor
+    predictions are the unconditioned marginals (nonreactive) or
+    ``set_conditionals`` over one conditioning set per candidate: the
+    candidate itself (reactive) or ``conditioning_sets`` (interpolated). The
+    expected actor unary is omitted where it does not depend on the
+    candidate: always for nonreactive, at k = K for interpolated. A
+    degenerate candidate scores an infinite interaction and no actor term.
+    """
+    k = tables.k
+    pair = ego_pair_energy(tables).transpose(1, 0, 2)            # (K_ego, N, K)
+    degenerate = np.zeros(k, dtype=bool)
+    if cfg.variant == "nonreactive":
+        pred = ms.marginals[1:]
+    else:
+        members = (np.arange(k)[:, None] if cfg.variant == "reactive"
+                   else np.sort(conditioning_sets(ego_candidates, cfg.set_size), axis=1))
+        pred, degenerate = set_conditionals(ms, members)
+    inter = cfg.lambda_b * (pred * pair).reshape(k, -1).sum(axis=1)
+    actor = np.zeros(k)
+    if cfg.variant == "reactive" or (cfg.variant == "interpolated" and cfg.set_size < k):
+        actor = cfg.lambda_c * (pred * tables.unary[1:]).reshape(k, -1).sum(axis=1)
+    inter[degenerate] = np.inf
+    actor[degenerate] = 0.0
+    ego = tables.unary[0].copy()
+    goal = cfg.w_goal * tables.goal
+    values = ego + inter + actor + goal
+    return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
+                      ego_unary=ego, interaction=inter, actor_unary=actor,
+                      goal=goal, converged=ms.converged, iters_used=ms.iters_used)
 
 
 def reactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
                        cfg: PlannerConfig) -> float:
     """Ego unary + expected interaction + expected actor unary + goal,
-    with actor predictions conditioned on the evaluated ego candidate."""
-    q = conditional_marginals(ms, a0)
-    ego, inter, actor, goal = _terms(tables, q, a0, cfg, include_actor_unary=True)
-    return ego + inter + actor + goal
+    with actor predictions conditioned on the evaluated ego candidate
+    (infinite for a degenerate candidate)."""
+    cfg = replace(cfg, variant="reactive")
+    return float(score([], tables, ms, cfg).objective_values[a0])
 
 
 def nonreactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
                           cfg: PlannerConfig) -> float:
     """Same cost terms under unconditioned actor marginals; the actor unary
     expectation is constant across ego candidates and therefore omitted."""
-    p = ms.marginals[1:]
-    ego, inter, _, goal = _terms(tables, p, a0, cfg, include_actor_unary=False)
-    return ego + inter + goal
-
-
-def conditioning_set(ego_candidates: list[Trajectory], a0: int, k: int) -> list[int]:
-    """The evaluated candidate plus its k-1 nearest neighbours by squared
-    waypoint distance; ties broken toward the lower index."""
-    if not 1 <= k <= len(ego_candidates):
-        raise InvalidSetSize(f"set size {k} outside [1, {len(ego_candidates)}]")
-    target = ego_candidates[a0]
-    others = [(trajectory_l2(c, target), idx)
-              for idx, c in enumerate(ego_candidates) if idx != a0]
-    others.sort()
-    return [a0] + [idx for _, idx in others[:k - 1]]
+    cfg = replace(cfg, variant="nonreactive")
+    return float(score([], tables, ms, cfg).objective_values[a0])
 
 
 def interpolated_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
@@ -152,50 +176,23 @@ def interpolated_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
                            ego_candidates: list[Trajectory]) -> float:
     """Reactive objective with set conditioning; at k = K the actor unary
     term no longer depends on the candidate and is dropped."""
-    members = conditioning_set(ego_candidates, a0, k)
-    q = set_conditional_marginals(ms, members)
-    include_actor = k < tables.k
-    ego, inter, actor, goal = _terms(tables, q, a0, cfg, include_actor_unary=include_actor)
-    return ego + inter + actor + goal
+    cfg = replace(cfg, variant="interpolated", set_size=k)
+    return float(score(ego_candidates, tables, ms, cfg).objective_values[a0])
 
 
 def plan(ego_candidates: list[Trajectory], tables: EnergyTables,
          cfg: PlannerConfig) -> PlanResult:
     """One inference pass, all K candidates scored, argmin returned.
 
-    A candidate whose conditional is degenerate (its own marginal mass is
-    below epsilon) gets an infinite objective instead of aborting the cycle;
-    at least one candidate always has mass >= 1/K and stays finite. Beliefs
-    from a run that stopped without converging are still used, with a warning.
+    A candidate whose conditional is degenerate (its conditioning set's ego
+    mass is at most DEGENERATE_MASS in a scene with actors) gets an infinite
+    objective instead of aborting the cycle; at least one candidate always
+    has mass >= 1/K and stays finite. With no actors nothing is conditioned,
+    so no candidate is degenerate. Beliefs from a run that stopped without
+    converging are still used, with a warning.
     """
-    k = tables.k
     ms = lbp(tables, cfg.lbp)
     if not ms.converged:
         logger.warning("LBP did not converge: %d iterations, final residual %.3g",
                        ms.iters_used, ms.residuals[-1])
-    values = np.empty(k)
-    ego = np.empty(k)
-    inter = np.empty(k)
-    actor = np.empty(k)
-    goal = np.empty(k)
-    for a0 in range(k):
-        try:
-            if cfg.variant == "reactive":
-                pred = conditional_marginals(ms, a0)
-                include_actor = True
-            elif cfg.variant == "nonreactive":
-                pred = ms.marginals[1:]
-                include_actor = False
-            else:
-                members = conditioning_set(ego_candidates, a0, cfg.set_size)
-                pred = set_conditional_marginals(ms, members)
-                include_actor = cfg.set_size < k
-            e, i_, a_, g = _terms(tables, pred, a0, cfg, include_actor)
-        except DegenerateCondition:
-            e, g = float(tables.unary[0, a0]), cfg.w_goal * float(tables.goal[a0])
-            i_, a_ = np.inf, 0.0
-        ego[a0], inter[a0], actor[a0], goal[a0] = e, i_, a_, g
-        values[a0] = e + i_ + a_ + g
-    return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
-                      ego_unary=ego, interaction=inter, actor_unary=actor,
-                      goal=goal, converged=ms.converged, iters_used=ms.iters_used)
+    return score(ego_candidates, tables, ms, cfg)

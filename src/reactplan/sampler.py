@@ -8,6 +8,7 @@ the stationary trajectory so a stopping option exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -288,17 +289,22 @@ def sample_candidates(state: KinematicState, cfg: SamplerConfig,
     return candidates
 
 
-def trajectory_l2(a: Trajectory, b: Trajectory) -> float:
-    """Sum over waypoints of squared positional distance."""
-    if len(a) != len(b) or a.dt != b.dt:
-        raise HorizonMismatch("trajectories must share length and dt")
-    diff = a.positions - b.positions
-    return float(np.sum(diff * diff))
-
-
-def closest_candidate(candidates: list[Trajectory], target: Trajectory) -> int:
-    """Index of the candidate with minimum squared distance; ties pick the lowest."""
+def nearest_candidates(candidates: Sequence[Trajectory],
+                       targets: Sequence[Trajectory]) -> np.ndarray:
+    """Candidate indices ranked for each target, shape (len(targets), K):
+    by squared positional distance summed over waypoints, nearest first,
+    ties toward the lower index."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    dists = np.array([trajectory_l2(c, target) for c in candidates])
-    return int(np.argmin(dists))
+    ref = candidates[0]
+    if any(len(t) != len(ref) or t.dt != ref.dt for t in (*candidates, *targets)):
+        raise HorizonMismatch("trajectories must share length and dt")
+    pos = np.stack([c.positions for c in candidates])           # (K, T, 2)
+    tgt = np.stack([t.positions for t in targets])              # (n, T, 2)
+    diff = (pos[None] - tgt[:, None]).reshape(len(tgt), len(pos), -1)
+    return np.argsort(np.sum(diff * diff, axis=2), axis=1, kind="stable")
+
+
+def closest_candidate(candidates: Sequence[Trajectory], target: Trajectory) -> int:
+    """Index of the candidate nearest ``target``; see ``nearest_candidates``."""
+    return int(nearest_candidates(candidates, [target])[0, 0])

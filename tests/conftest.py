@@ -8,7 +8,9 @@ from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 boxes_overlap, boxes_overlap_grid,
                                 point_to_box_distance, point_to_box_distance_grid,
                                 wrap_angle)
-from reactplan.inference import _lse, _softmax
+from reactplan.errors import HorizonMismatch
+from reactplan.inference import _lse, _softmax, lbp
+from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
                                MODE_SPIRAL, CandidateControls, KinematicState,
                                SamplerConfig, Trajectory, sample_candidates)
@@ -412,3 +414,54 @@ def integrate_controls_reference(state, controls, cfg, start_time=0.0):
         speeds[:, step] = np.clip(v0 + accel * (sub * h_sub), 0.0, cfg.v_max)
     return [Trajectory(start_time=start_time, dt=cfg.dt,
                        poses=poses[i], speeds=speeds[i]) for i in range(n)]
+
+
+def trajectory_l2(a, b) -> float:
+    """Sum over waypoints of squared positional distance."""
+    if len(a) != len(b) or a.dt != b.dt:
+        raise HorizonMismatch("trajectories must share length and dt")
+    diff = a.positions - b.positions
+    return float(np.sum(diff * diff))
+
+
+def plan_reference(ego_candidates, tables, cfg):
+    """Per-candidate reference for ``planner.plan``: one objective evaluation
+    per ego candidate, with conditioning sets sorted from ``trajectory_l2``.
+
+    A candidate is degenerate, and scores an infinite interaction and no
+    actor term, when the scene has actors and its conditioning set holds ego
+    mass at most 1e-12.
+    """
+    k = tables.k
+    ms = lbp(tables, cfg.lbp)
+    pair = tables.pairwise[0, 1:] + tables.pairwise[1:, 0].transpose(0, 2, 1)
+    lpb = ms.log_pairwise_beliefs[0, 1:]
+    ego, inter, actor, goal = (np.empty(k) for _ in range(4))
+    for a0 in range(k):
+        members = [a0]
+        if cfg.variant == "nonreactive":
+            pred, include_actor = ms.marginals[1:], False
+        elif cfg.variant == "reactive":
+            rows = lpb[:, a0, :]
+            pred = np.exp(rows - _lse(rows, axis=1, keepdims=True))
+            include_actor = True
+        else:
+            others = sorted((trajectory_l2(c, ego_candidates[a0]), idx)
+                            for idx, c in enumerate(ego_candidates) if idx != a0)
+            members = sorted([a0] + [idx for _, idx in others[:cfg.set_size - 1]])
+            rows = _lse(lpb[:, members, :], axis=1)
+            pred = np.exp(rows - _lse(rows, axis=1, keepdims=True))
+            include_actor = cfg.set_size < k
+        ego[a0] = float(tables.unary[0, a0])
+        goal[a0] = cfg.w_goal * float(tables.goal[a0])
+        if (cfg.variant != "nonreactive" and tables.n_actors > 0
+                and float(ms.marginals[0, members].sum()) <= 1e-12):
+            inter[a0], actor[a0] = np.inf, 0.0
+            continue
+        inter[a0] = cfg.lambda_b * float(np.sum(pred * pair[:, a0, :]))
+        actor[a0] = (cfg.lambda_c * float(np.sum(pred * tables.unary[1:]))
+                     if include_actor else 0.0)
+    values = ego + inter + actor + goal
+    return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
+                      ego_unary=ego, interaction=inter, actor_unary=actor,
+                      goal=goal, converged=ms.converged, iters_used=ms.iters_used)

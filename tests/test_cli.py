@@ -136,6 +136,17 @@ class TestCmdPlan:
         code = main(["--out", str(tmp_path / "o"), "plan", str(bad)])
         assert code == 2
 
+    def test_wrong_length_weights_exit_2(self, tmp_path, scenario_file, capsys):
+        cfg = RunConfig().to_dict()
+        cfg["energy"]["w_ego"] = [0.1, 0.2, 0.3, 0.4]
+        bad = tmp_path / "bad_config.json"
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"),
+                     "plan", str(scenario_file)])
+        assert code == 2
+        assert "malformed config file" in capsys.readouterr().err
+
 
 class TestCmdTrain:
     def _dataset(self, tmp_path, n=4):

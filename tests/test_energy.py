@@ -8,9 +8,8 @@ from conftest import (collision_energy, interaction_tables_reference,
                       random_scene, safety_energy, stationary_trajectory,
                       straight_trajectory)
 from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
-                              build_tables, extract_features, goal_energy,
-                              goal_energy_batch, interaction_tables,
-                              unary_energy)
+                              build_tables, extract_features_batch,
+                              goal_energy_batch, interaction_tables)
 from reactplan.errors import DimensionMismatch, HorizonMismatch
 from reactplan.geometry import Polyline
 from reactplan.sampler import Trajectory
@@ -28,7 +27,7 @@ class TestExtractFeatures:
     def test_lane_tracing_trajectory(self):
         lane = straight_lane()
         traj = straight_trajectory((0, 0), 0.0, 6.0)
-        f = extract_features(traj, lane, ref_speed=6.0)
+        f = extract_features_batch([traj], lane, ref_speed=6.0)[0]
         progress, lateral, accel_sq, curv_sq, speed_dev, align = f
         assert lateral == pytest.approx(0.0, abs=1e-12)
         assert align == pytest.approx(0.0, abs=1e-12)
@@ -36,50 +35,75 @@ class TestExtractFeatures:
         assert progress == pytest.approx(6.0 * 0.5 * 7)
 
     def test_stationary_trajectory(self):
-        f = extract_features(stationary_trajectory((2.0, 1.0)), straight_lane(), 5.0)
+        traj = stationary_trajectory((2.0, 1.0))
+        f = extract_features_batch([traj], straight_lane(), 5.0)[0]
         assert f[0] == pytest.approx(0.0)   # progress
         assert f[2] == pytest.approx(0.0)   # accel
         assert f[4] == pytest.approx(5.0)   # speed deviation
 
     def test_constant_offset(self):
         traj = straight_trajectory((0, 2.0), 0.0, 5.0)
-        f = extract_features(traj, straight_lane(), 5.0)
+        f = extract_features_batch([traj], straight_lane(), 5.0)[0]
         assert f[1] == pytest.approx(2.0, abs=1e-9)
 
 
+def unary_scene():
+    """A fixed three-vehicle scene and its (M, K, F) feature tensor."""
+    candidates, boxes, lanes, refs = random_scene(np.random.default_rng(6),
+                                                  n_actors=2, k=4)
+    feats = np.stack([extract_features_batch(c, lane, ref)
+                      for c, lane, ref in zip(candidates, lanes, refs)])
+    return (candidates, boxes, lanes, refs), feats
+
+
+def unary_table(scene, params):
+    return build_tables(*scene, np.zeros(2), params).unary
+
+
 class TestUnaryEnergy:
+    # build_tables' unary table is the dot product of each candidate's
+    # features with the ego (row 0) or actor weight vector
+
     def test_zero_features(self):
-        params = EnergyParams()
-        assert unary_energy(np.zeros(6), params, is_ego=True) == 0.0
+        scene, _ = unary_scene()
+        params = EnergyParams(w_ego=np.zeros(6), w_actor=np.zeros(6))
+        assert np.all(unary_table(scene, params) == 0.0)
 
     def test_one_hot_linearity(self):
+        scene, feats = unary_scene()
         w = np.zeros(6)
         w[1] = 0.7
-        params = EnergyParams(w_ego=w, w_actor=np.zeros(6))
-        f = np.zeros(6)
-        f[1] = 2.0
-        assert unary_energy(f, params, is_ego=True) == pytest.approx(2.0 * 0.7)
+        unary = unary_table(scene, EnergyParams(w_ego=w, w_actor=np.zeros(6)))
+        np.testing.assert_allclose(unary[0], 0.7 * feats[0, :, 1], rtol=1e-12)
+        assert np.all(unary[1:] == 0.0)
 
     def test_matches_dot_product(self):
+        scene, feats = unary_scene()
         rng = np.random.default_rng(0)
         for _ in range(100):
             w_ego, w_actor = rng.normal(size=(2, 6))
-            f = rng.normal(size=6)
-            params = EnergyParams(w_ego=w_ego, w_actor=w_actor)
-            expected = sum(f[i] * w_actor[i] for i in range(6))
-            assert unary_energy(f, params, is_ego=False) == pytest.approx(expected)
+            unary = unary_table(scene, EnergyParams(w_ego=w_ego, w_actor=w_actor))
+            for i in range(3):
+                w = w_ego if i == 0 else w_actor
+                for a in range(4):
+                    expected = sum(feats[i, a, f] * w[f] for f in range(6))
+                    assert unary[i, a] == pytest.approx(expected)
 
     def test_linearity_in_features(self):
+        scene, _ = unary_scene()
         rng = np.random.default_rng(1)
-        params = EnergyParams(w_ego=rng.normal(size=6), w_actor=rng.normal(size=6))
-        f = rng.normal(size=6)
+        w_ego, w_actor = rng.normal(size=(2, 6))
+        base = unary_table(scene, EnergyParams(w_ego=w_ego, w_actor=w_actor))
         for alpha in (0.0, 0.5, 2.0, -3.0):
-            assert unary_energy(alpha * f, params, True) == pytest.approx(
-                alpha * unary_energy(f, params, True), abs=1e-12)
+            scaled = unary_table(scene, EnergyParams(w_ego=alpha * w_ego,
+                                                     w_actor=alpha * w_actor))
+            np.testing.assert_allclose(scaled, alpha * base, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            unary_energy(np.zeros(4), EnergyParams(), is_ego=False)
+        for weights in ({"w_ego": np.zeros(4)}, {"w_actor": np.zeros(7)},
+                        {"w_ego": np.zeros((1, 6))}, {"w_actor": 0.0}):
+            with pytest.raises(DimensionMismatch):
+                EnergyParams(**weights)
 
 
 class TestCollisionEnergy:
@@ -150,21 +174,21 @@ class TestSafetyEnergy:
 class TestGoalEnergy:
     def test_final_waypoint_at_goal(self):
         traj = straight_trajectory((0, 0), 0.0, 5.0, steps=5, dt=0.5)
-        assert goal_energy(traj, traj.positions[-1]) == 0.0
+        assert goal_energy_batch([traj], traj.positions[-1])[0] == 0.0
 
     def test_three_four_five(self):
         traj = stationary_trajectory((3.0, 4.0))
-        assert goal_energy(traj, np.array([0.0, 0.0])) == pytest.approx(5.0)
+        assert goal_energy_batch([traj], np.array([0.0, 0.0]))[0] == pytest.approx(5.0)
 
     def test_offset_lane(self):
         traj = straight_trajectory((0, 2.0), 0.0, 5.0)
-        assert goal_energy(traj, straight_lane()) == pytest.approx(2.0, abs=1e-9)
+        assert goal_energy_batch([traj], straight_lane())[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(2)
         traj = straight_trajectory((1.0, -2.0), 0.3, 6.0)
         lane = Polyline([[0, 0], [10, 2], [25, 2]])
-        base = goal_energy(traj, lane)
+        base = goal_energy_batch([traj], lane)[0]
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi)
             shift = rng.uniform(-30, 30, size=2)
@@ -176,7 +200,7 @@ class TestGoalEnergy:
                 start_time=0.0, dt=traj.dt,
                 poses=np.column_stack([moved_pos, traj.headings + theta]),
                 speeds=traj.speeds)
-            assert goal_energy(moved, moved_lane) == pytest.approx(base, abs=1e-9)
+            assert goal_energy_batch([moved], moved_lane)[0] == pytest.approx(base, abs=1e-9)
 
     def test_lane_batch_equals_per_candidate_loop(self):
         rng = np.random.default_rng(9)
@@ -220,8 +244,8 @@ class TestBuildTables:
             m, k = tables.unary.shape
             for i in range(m):
                 for a in range(k):
-                    f = extract_features(candidates[i][a], lanes[i], refs[i])
-                    expected = unary_energy(f, params, is_ego=(i == 0))
+                    f = extract_features_batch([candidates[i][a]], lanes[i], refs[i])[0]
+                    expected = f @ (params.w_ego if i == 0 else params.w_actor)
                     assert tables.unary[i, a] == pytest.approx(expected, abs=1e-12)
             for i in range(m):
                 for j in range(m):
@@ -240,7 +264,7 @@ class TestBuildTables:
                                 expected, abs=1e-12)
             for a in range(k):
                 assert tables.goal[a] == pytest.approx(
-                    goal_energy(candidates[0][a], goal), abs=1e-12)
+                    goal_energy_batch([candidates[0][a]], goal)[0], abs=1e-12)
 
     def test_collision_component_symmetric_and_full_table_asymmetric(self):
         rng = np.random.default_rng(5)

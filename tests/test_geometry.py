@@ -8,7 +8,7 @@ from conftest import penetration_depth, random_box
 from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 box_arrays, boxes_overlap, boxes_overlap_grid,
                                 overlap_matrix, point_to_box_distance,
-                                project_to_polyline, wrap_angle)
+                                wrap_angle)
 
 
 def unit_box(x=0.0, y=0.0, heading=0.0):
@@ -190,13 +190,13 @@ class TestPointToBoxDistance:
 class TestProjectToPolyline:
     def test_point_on_polyline(self):
         line = Polyline([[0, 0], [10, 0], [10, 5]])
-        dist, s = project_to_polyline((10.0, 2.0), line)
+        dist, s = line.project((10.0, 2.0))
         assert dist == pytest.approx(0.0, abs=1e-12)
         assert s == pytest.approx(12.0)
 
     def test_perpendicular_foot(self):
         line = Polyline([[0, 0], [10, 0]])
-        dist, s = project_to_polyline((5.0, 2.0), line)
+        dist, s = line.project((5.0, 2.0))
         assert dist == pytest.approx(2.0)
         assert s == pytest.approx(5.0)
 
@@ -207,14 +207,14 @@ class TestProjectToPolyline:
         pts = line.point_at(samples)
         d = np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1])
         best = np.argmin(d)
-        dist, s = project_to_polyline(p, line)
+        dist, s = line.project(p)
         assert dist == pytest.approx(d[best], abs=1e-3)
         assert s == pytest.approx(samples[best], abs=2e-3)
 
     def test_tie_breaks_toward_smaller_arclength(self):
         # point equidistant from both arms of an L
         line = Polyline([[0, 0], [10, 0], [10, 10]])
-        dist, s = project_to_polyline((9.0, 1.0), line)
+        dist, s = line.project((9.0, 1.0))
         assert dist == pytest.approx(1.0)
         assert s == pytest.approx(9.0)
 
@@ -223,13 +223,13 @@ class TestProjectToPolyline:
         base = Polyline([[0, 0], [4, 1], [6, 5], [9, 5]])
         for _ in range(200):
             p = rng.uniform(-3, 10, size=2)
-            d0, s0 = project_to_polyline(p, base)
+            d0, s0 = base.project(p)
             theta = rng.uniform(-math.pi, math.pi)
             shift = rng.uniform(-20, 20, size=2)
             rot = np.array([[math.cos(theta), -math.sin(theta)],
                             [math.sin(theta), math.cos(theta)]])
             moved = Polyline(base.points @ rot.T + shift)
-            d1, s1 = project_to_polyline(rot @ p + shift, moved)
+            d1, s1 = moved.project(rot @ p + shift)
             assert d1 == pytest.approx(d0, abs=1e-9)
             assert s1 == pytest.approx(s0, abs=1e-9)
 

@@ -11,7 +11,7 @@ from reactplan.errors import (DegenerateCondition, EmptyConditioningSet,
                               StateSpaceTooLarge)
 from reactplan.inference import (LbpConfig, conditional_marginals,
                                  exact_marginals, lbp, lbp_pass,
-                                 set_conditional_marginals)
+                                 set_conditional_marginals, set_conditionals)
 
 TIGHT = LbpConfig(max_iters=300, damping=0.5, tol=1e-13)
 
@@ -292,6 +292,41 @@ class TestSetConditionals:
         ms = lbp(collision_instance(3), LbpConfig())
         with pytest.raises(EmptyConditioningSet):
             set_conditional_marginals(ms, [])
+
+    def test_out_of_range_raises(self):
+        for tables in (collision_instance(3), random_tables(np.random.default_rng(3), m=1)):
+            ms = lbp(tables, LbpConfig())
+            for bad in (-1, 4):
+                with pytest.raises(IndexError):
+                    conditional_marginals(ms, bad)
+                with pytest.raises(IndexError):
+                    set_conditional_marginals(ms, [0, bad])
+
+    def test_no_actors_is_never_degenerate(self):
+        # candidate 2 holds ego mass ~4e-18; with no actors nothing is
+        # conditioned, so both views return the empty prediction
+        tables = EnergyTables(unary=np.array([[0.0, 1.0, 40.0]]),
+                              pairwise=np.zeros((1, 1, 3, 3)), goal=np.zeros(3))
+        ms = lbp(tables, LbpConfig())
+        assert ms.marginals[0, 2] < 1e-12
+        assert conditional_marginals(ms, 2).shape == (0, 3)
+        assert set_conditional_marginals(ms, [2]).shape == (0, 3)
+
+    def test_batch_rows_equal_single_set_views(self):
+        tables = collision_instance(4)
+        unary = tables.unary.copy()
+        unary[0, 1:3] += 1e4
+        ms = lbp(EnergyTables(unary=unary, pairwise=tables.pairwise,
+                              goal=tables.goal), TIGHT)
+        members = np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]])
+        conditionals, degenerate = set_conditionals(ms, members)
+        assert degenerate.tolist() == [False, True, False, False, False]
+        for row, cond, bad in zip(members, conditionals, degenerate):
+            if bad:
+                with pytest.raises(DegenerateCondition):
+                    set_conditional_marginals(ms, row)
+            else:
+                np.testing.assert_array_equal(cond, set_conditional_marginals(ms, row))
 
 
 def sparse_potentials(rng, m, k, zero_frac, coupling=0.7):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tables, straight_trajectory
+from conftest import random_tables, straight_trajectory, trajectory_l2
 from reactplan.energy import EnergyParams, EnergyTables
 from reactplan.errors import DivergenceError, InvalidIgnoreSize
 from reactplan.geometry import OrientedBox, Pose2, boxes_overlap
@@ -15,7 +15,7 @@ from reactplan.learning import (LOG_CLIP, TrainConfig,
                                 label_and_ignore, load_dataset, loss,
                                 predict_top1, save_dataset, synthetic_dataset,
                                 train)
-from reactplan.sampler import SamplerConfig, trajectory_l2
+from reactplan.sampler import SamplerConfig
 
 SCFG = SamplerConfig(k=6, horizon_steps=6, dt=0.5)
 TCFG = TrainConfig(k_ignore=1, lbp=LbpConfig(max_iters=10, fixed_iterations=True))
@@ -63,6 +63,13 @@ class TestLabelAndIgnore:
             order = sorted(range(7), key=lambda i: (dists[i], i))
             assert gt == order[0]
             assert list(ignore) == order[1:4]
+
+    def test_ties_resolve_toward_lower_index(self):
+        # offsets 1, -1, 0, 1, -1 from a target at 0: candidate 2 is the
+        # ground truth and the other four are equally far
+        cands = [straight_trajectory((0, y), 0.0, 2.0) for y in (1, -1, 0, 1, -1)]
+        target = straight_trajectory((0, 0), 0.0, 2.0)
+        assert label_and_ignore([cands], [target], k_ignore=3) == [(2, (0, 1, 3))]
 
     def test_ignore_size_bound(self):
         cands = [straight_trajectory((0, i), 0.0, 2.0) for i in range(3)]

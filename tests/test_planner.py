@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import (joint_distribution, joint_energy_grid, random_tables,
-                      straight_trajectory)
+from conftest import (joint_distribution, joint_energy_grid, plan_reference,
+                      random_tables, straight_trajectory)
+from reactplan import planner
 from reactplan.energy import EnergyTables
 from reactplan.inference import LbpConfig, exact_marginals, lbp
 from reactplan.errors import InvalidSetSize
-from reactplan.planner import (PlannerConfig, conditioning_set,
+from reactplan.planner import (PlannerConfig, conditioning_set, conditioning_sets,
                                ego_pair_energy, interpolated_objective,
                                nonreactive_objective, plan, reactive_objective)
 
@@ -174,6 +175,15 @@ class TestInterpolatedObjective:
         assert conditioning_set(cands, 2, 3) == [2, 1, 0]
         assert conditioning_set(cands, 4, 2) == [4, 3]
 
+    def test_conditioning_set_ties_go_to_lower_index_after_itself(self):
+        # offsets 0, 1, -1, 1, 0: candidates 0 and 4 coincide, and 1, 2, 3
+        # are equally far from both
+        cands = [straight_trajectory((0.0, y), 0.0, 5.0) for y in (0, 1, -1, 1, 0)]
+        assert conditioning_set(cands, 0, 3) == [0, 4, 1]
+        assert conditioning_set(cands, 4, 3) == [4, 0, 1]
+        assert conditioning_set(cands, 3, 4) == [3, 1, 0, 4]
+        np.testing.assert_array_equal(conditioning_sets(cands, 1), [[0], [1], [2], [3], [4]])
+
 
 class TestPlan:
     def test_single_candidate(self):
@@ -279,6 +289,65 @@ class TestPlan:
             result = plan(make_ego_candidates(4), tables, cfg_for())
         assert result.converged is True
         assert caplog.records == []
+
+
+class TestBatchedScoring:
+    def test_equals_per_candidate_reference(self):
+        # random scenes with 0-3 actors, degenerate ego candidates, exactly
+        # tied and duplicated candidate distances, and converged as well as
+        # stopped LBP runs; every set size 1..K
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            m, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            tables = random_tables(rng, m=m, k=k, coupling=rng.uniform(0.1, 1.5),
+                                   goal_scale=rng.uniform(0.0, 2.0))
+            unary = tables.unary.copy()
+            unary[0, rng.random(k) < 0.3] += 1e4
+            tables = EnergyTables(unary=unary, pairwise=tables.pairwise,
+                                  goal=tables.goal)
+            cands = [straight_trajectory((0.0, float(y)), 0.0, 5.0)
+                     for y in rng.integers(-2, 3, size=k)]
+            lbp_cfg = LbpConfig(max_iters=int(rng.integers(1, 60)))
+            variants = [("reactive", None), ("nonreactive", None)]
+            variants += [("interpolated", s) for s in range(1, k + 1)]
+            for variant, set_size in variants:
+                cfg = PlannerConfig(variant=variant, set_size=set_size,
+                                    lambda_b=rng.uniform(0, 2), lambda_c=rng.uniform(0, 2),
+                                    w_goal=rng.uniform(0, 2), lbp=lbp_cfg)
+                got, want = plan(cands, tables, cfg), plan_reference(cands, tables, cfg)
+                for name in ("objective_values", "ego_unary", "interaction",
+                             "actor_unary", "goal"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert (got.chosen, got.converged, got.iters_used) == \
+                    (want.chosen, want.converged, want.iters_used)
+
+    def test_no_actors_means_no_degenerate_candidate(self):
+        # candidate 2 holds ego mass ~4e-18, but with no actors nothing is
+        # conditioned, so every variant scores it finitely and picks it
+        tables = EnergyTables(unary=np.array([[0.0, 1.0, 40.0]]),
+                              pairwise=np.zeros((1, 1, 3, 3)), goal=np.array([5.0, 5.0, 0.0]))
+        cands = make_ego_candidates(3)
+        for variant, set_size in (("reactive", None), ("nonreactive", None),
+                                  ("interpolated", 1), ("interpolated", 2),
+                                  ("interpolated", 3)):
+            result = plan(cands, tables, cfg_for(variant, w_goal=10.0, set_size=set_size))
+            np.testing.assert_array_equal(result.objective_values, [50.0, 51.0, 40.0])
+            assert result.chosen == 2
+
+    def test_one_lbp_call_through_planner_namespace(self, monkeypatch):
+        calls = []
+
+        def counting_lbp(*args, **kwargs):
+            calls.append(1)
+            return lbp(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "lbp", counting_lbp)
+        tables = random_tables(np.random.default_rng(19), m=3, k=4)
+        for variant, set_size in (("reactive", None), ("nonreactive", None),
+                                  ("interpolated", 2)):
+            calls.clear()
+            plan(make_ego_candidates(4), tables, cfg_for(variant, set_size=set_size))
+            assert len(calls) == 1
 
 
 class TestArgminShiftInvariance:

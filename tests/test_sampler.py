@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import (draw_controls_reference, integrate_controls_reference,
-                      stationary_trajectory, straight_trajectory)
+                      stationary_trajectory, straight_trajectory, trajectory_l2)
 from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
                                KinematicState, SamplerConfig, Trajectory,
                                _draw_control_arrays, closest_candidate,
                                draw_controls, estimate_state, integrate_controls,
-                               sample_candidates, trajectory_l2)
+                               nearest_candidates, sample_candidates)
 
 
 def make_past(step_lengths, dt=0.1, heading=0.0):
@@ -254,8 +254,30 @@ class TestClosestCandidate:
 
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatch):
-            trajectory_l2(straight_trajectory((0, 0), 0, 1, steps=8),
-                          straight_trajectory((0, 0), 0, 1, steps=6))
+            closest_candidate([straight_trajectory((0, 0), 0, 1, steps=8)],
+                              straight_trajectory((0, 0), 0, 1, steps=6))
+        with pytest.raises(HorizonMismatch):
+            closest_candidate([straight_trajectory((0, 0), 0, 1, steps=8, dt=0.5)],
+                              straight_trajectory((0, 0), 0, 1, steps=8, dt=0.4))
+
+    def test_empty_candidates(self):
+        with pytest.raises(ValueError):
+            closest_candidate([], straight_trajectory((0, 0), 0, 1))
+
+
+class TestNearestCandidates:
+    def test_matches_stable_sort_of_pairwise_distances(self):
+        # integer lateral offsets make exact ties and duplicates common
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            k = int(rng.integers(1, 9))
+            cands = [straight_trajectory((0.0, float(y)), 0.0, float(v))
+                     for y, v in zip(rng.integers(-2, 3, size=k), rng.integers(0, 3, size=k))]
+            targets = cands + [straight_trajectory(rng.uniform(-2, 2, 2), 0.1, 1.0)]
+            got = nearest_candidates(cands, targets)
+            for row, target in zip(got, targets):
+                want = sorted(range(k), key=lambda i: (trajectory_l2(cands[i], target), i))
+                assert row.tolist() == want
 
 
 class TestTrajectoryInterpolation:
