@@ -9,8 +9,8 @@ from .learning import (LossReport, TrainConfig, TrainingExample, gradient,
                        label_and_ignore, loss, synthetic_dataset, train)
 from .planner import (PlanResult, PlannerConfig, interpolated_objective,
                       nonreactive_objective, plan, reactive_objective)
-from .sampler import (KinematicState, SamplerConfig, Trajectory,
-                      closest_candidate, estimate_state, sample_candidates)
+from .sampler import (CandidateSet, KinematicState, SamplerConfig, Trajectory,
+                      estimate_state, nearest_candidates, sample_candidates)
 from .scenarios import CarFollowingParams, Lane, Scenario, builtin_templates
 from .simulator import (EpisodeResult, SimConfig, SuiteResult,
                         actor_policy_step, run_suite, step_episode)

@@ -22,7 +22,7 @@ from .errors import DivergenceError, NumericalFailure, ReactplanError
 from .inference import lbp
 from .learning import TrainConfig, load_dataset, train
 from .planner import plan
-from .sampler import KinematicState, sample_candidates
+from .sampler import KinematicState, derived_seed, sample_candidates
 from .scenarios import Scenario, builtin_templates
 from .simulator import run_suite
 
@@ -82,7 +82,7 @@ def _scene_inputs(scenario: Scenario, cfg: RunConfig):
         refs.append(actor.behavior.desired_speed)
     candidates = []
     for idx, state in enumerate(states):
-        seed = int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0])
+        seed = derived_seed(cfg.seed, idx)
         candidates.append(sample_candidates(state, replace(cfg.sampler, seed=seed)))
     tables = build_tables(candidates, boxes, lanes, refs,
                           scenario.goal_target(), cfg.energy)
@@ -99,20 +99,18 @@ def cmd_sample(args) -> int:
         state = scenario.ego.state
     else:
         state = scenario.actors[args.actor - 1].state
-    seed = int(np.random.SeedSequence([cfg.seed, args.actor]).generate_state(1)[0])
+    seed = derived_seed(cfg.seed, args.actor)
     candidates = sample_candidates(state, replace(cfg.sampler, seed=seed))
     out = _out_dir(args)
     path = out / "candidates.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["candidate", "t", "x", "y", "heading", "speed"])
-        for idx, traj in enumerate(candidates):
-            for w in range(len(traj)):
-                writer.writerow([idx, repr(float(w * traj.dt)),
-                                 repr(float(traj.poses[w, 0])),
-                                 repr(float(traj.poses[w, 1])),
-                                 repr(float(traj.poses[w, 2])),
-                                 repr(float(traj.speeds[w]))])
+        rows = zip(candidates.poses.tolist(), candidates.speeds.tolist())
+        for idx, (poses, speeds) in enumerate(rows):
+            for w, ((x, y, heading), speed) in enumerate(zip(poses, speeds)):
+                writer.writerow([idx, repr(float(w * candidates.dt)), repr(x),
+                                 repr(y), repr(heading), repr(speed)])
     print(f"wrote {len(candidates)} candidates to {path}")
     return EXIT_OK
 
@@ -158,15 +156,18 @@ def cmd_plan(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config).with_seed(args.seed)
+    try:
+        train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
+                                k_ignore=args.k_ignore,
+                                divergence_threshold=args.divergence_threshold)
+    except ValueError as exc:
+        raise CliError(f"invalid training option: {exc}")
     dataset_path = Path(args.dataset)
     if not dataset_path.exists():
         raise CliError(f"dataset file not found: {args.dataset}")
     dataset = load_dataset(dataset_path)
     if not dataset:
         raise CliError("dataset is empty")
-    train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
-                            k_ignore=args.k_ignore,
-                            divergence_threshold=args.divergence_threshold)
     fitted, curve = train(cfg.energy, dataset, cfg.sampler, train_cfg)
     out = _out_dir(args)
     with open(out / "params.json", "w") as fh:

@@ -22,16 +22,14 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     n_variants: int = 50
 
-    def planner_config(self, variant: str | None = None,
-                       energy: EnergyParams | None = None) -> PlannerConfig:
+    def planner_config(self, variant: str | None = None) -> PlannerConfig:
         """Planner settings with the interaction weights taken from the
         energy parameters."""
-        params = energy if energy is not None else self.energy
         return PlannerConfig(variant=variant or self.variant,
                              set_size=self.set_size,
-                             lambda_b=params.lambda_b,
-                             lambda_c=params.lambda_c,
-                             w_goal=params.w_goal,
+                             lambda_b=self.energy.lambda_b,
+                             lambda_c=self.energy.lambda_c,
+                             w_goal=self.energy.w_goal,
                              lbp=self.lbp)
 
     def to_dict(self) -> dict:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, HorizonMismatch
 from .geometry import (Polyline, boxes_overlap_grid, point_to_box_distance_grid,
                        wrap_angle)
-from .sampler import Trajectory
+from .sampler import CandidateSet
 
 FEATURE_NAMES = (
     "progress",            # arclength gained along the assigned lane, m
@@ -172,20 +172,12 @@ class EnergyTables:
                    goal=np.asarray(data["goal"]))
 
 
-def _check_horizons(a: Trajectory, b: Trajectory) -> None:
-    if len(a) != len(b) or a.dt != b.dt:
-        raise HorizonMismatch("trajectories must share horizon and dt")
-
-
-def extract_features_batch(trajectories: Sequence[Trajectory], lane: Polyline,
+def extract_features_batch(candidates: CandidateSet, lane: Polyline,
                            ref_speed: float) -> np.ndarray:
-    """Feature matrix (K, 6) for candidates sharing one horizon."""
-    k = len(trajectories)
-    T = len(trajectories[0])
-    pos = np.stack([t.positions for t in trajectories])        # (K, T, 2)
-    heads = np.stack([t.headings for t in trajectories])       # (K, T)
-    speeds = np.stack([t.speeds for t in trajectories])        # (K, T)
-    dt = trajectories[0].dt
+    """Feature matrix (K, 6) of one vehicle's candidates."""
+    pos, heads, speeds = candidates.positions, candidates.headings, candidates.speeds
+    k, T = speeds.shape
+    dt = candidates.dt
 
     dist, arclen = lane.project_many(pos.reshape(-1, 2))
     dist = dist.reshape(k, T)
@@ -207,30 +199,30 @@ def extract_features_batch(trajectories: Sequence[Trajectory], lane: Polyline,
     return np.stack([progress, lateral, accel_sq, curv_sq, speed_dev, alignment], axis=1)
 
 
-def goal_energy_batch(trajectories: Sequence[Trajectory], goal) -> np.ndarray:
+def goal_energy_batch(candidates: CandidateSet, goal) -> np.ndarray:
     """Goal energies (K,): final-point distance for a point goal, mean
-    projected distance over future waypoints for a lane goal (candidates
-    sharing one horizon)."""
+    projected distance over future waypoints for a lane goal."""
+    pos = candidates.positions                                   # (K, T, 2)
     if isinstance(goal, Polyline):
-        pos = np.stack([t.positions for t in trajectories])      # (K, T, 2)
         if pos.shape[1] > 1:
             pos = pos[:, 1:]
         dist, _ = goal.project_many(pos.reshape(-1, 2))
         return dist.reshape(len(pos), -1).mean(axis=1)
     goal_pt = np.asarray(goal, dtype=float)
-    finals = np.stack([t.positions[-1] for t in trajectories])
+    finals = pos[:, -1]
     return np.hypot(finals[:, 0] - goal_pt[0], finals[:, 1] - goal_pt[1])
 
 
-def _validate_candidate_grid(candidates: Sequence[Sequence[Trajectory]]) -> int:
-    k = len(candidates[0])
-    ref = candidates[0][0]
+def _shared_k(candidates: Sequence[CandidateSet]) -> int:
+    """The K that every vehicle's candidate set must have; the sets must also
+    share their horizon T and dt."""
+    ref = candidates[0]
     for cands in candidates:
-        if len(cands) != k:
+        if len(cands) != len(ref):
             raise ValueError("every actor needs the same candidate count")
-        for c in cands:
-            _check_horizons(ref, c)
-    return k
+        if cands.speeds.shape != ref.speeds.shape or cands.dt != ref.dt:
+            raise HorizonMismatch("trajectories must share horizon and dt")
+    return len(ref)
 
 
 # Pairs per chunk in interaction_tables. A chunk holds float grids of
@@ -285,7 +277,7 @@ def _safety_block(entries, shape, src, dst, pos, heads, speeds, dims, d_safe):
     return np.einsum("pat,pabt->pab", speeds[src], pen_sq)
 
 
-def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
+def interaction_tables(candidates: Sequence[CandidateSet],
                        boxes: Sequence[BoxDims],
                        gamma: float, d_safe: float) -> np.ndarray:
     """Pairwise tensor (N+1, N+1, K, K) of collision plus safety energies.
@@ -303,9 +295,9 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
     elementwise, so the tables are bit-identical to evaluating every entry.
     """
     m = len(candidates)
-    k = _validate_candidate_grid(candidates)
-    poses = np.stack([np.stack([c.poses[1:] for c in cands]) for cands in candidates])
-    speeds = np.stack([np.stack([c.speeds[1:] for c in cands]) for cands in candidates])
+    k = _shared_k(candidates)
+    poses = np.stack([c.poses[:, 1:] for c in candidates])      # (M, K, T-1, 3)
+    speeds = np.stack([c.speeds[:, 1:] for c in candidates])
     pos, heads = poses[..., :2], poses[..., 2]
 
     pairwise = np.zeros((m, m, k, k))
@@ -337,7 +329,7 @@ def interaction_tables(candidates: Sequence[Sequence[Trajectory]],
     return pairwise
 
 
-def build_tables(candidates: Sequence[Sequence[Trajectory]],
+def build_tables(candidates: Sequence[CandidateSet],
                  boxes: Sequence[BoxDims],
                  lanes: Sequence[Polyline],
                  ref_speeds: Sequence[float],
@@ -345,9 +337,9 @@ def build_tables(candidates: Sequence[Sequence[Trajectory]],
                  params: EnergyParams) -> EnergyTables:
     """Assemble unary, pairwise and goal energies for one scene.
 
-    ``candidates[i]`` are the K candidates of actor i (0 = ego), each with the
-    same horizon (checked once, by ``interaction_tables``); ``lanes[i]`` and
-    ``ref_speeds[i]`` provide the unary feature context per actor.
+    ``candidates[i]`` is the candidate set of actor i (0 = ego); the sets
+    share K, horizon and dt (checked by ``interaction_tables``). ``lanes[i]``
+    and ``ref_speeds[i]`` provide the unary feature context per actor.
     """
     if not (len(boxes) == len(lanes) == len(ref_speeds) == len(candidates)):
         raise ValueError("candidates, boxes, lanes, ref_speeds must align")

@@ -25,8 +25,8 @@ from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure)
 from .geometry import Polyline
 from .inference import (LbpConfig, MarginalSet, edge_potentials, lbp_pass, _lse,
                         _softmax)
-from .sampler import (SamplerConfig, Trajectory, estimate_state,
-                      nearest_candidates, sample_candidates)
+from .sampler import (CandidateSet, SamplerConfig, Trajectory, derived_seed,
+                      estimate_state, nearest_candidates, sample_candidates)
 
 LOG_CLIP = math.log(1e-30)
 
@@ -90,15 +90,15 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lbp.fixed_iterations:
             raise ValueError("training requires fixed-iteration message passing")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.k_ignore < 0:
+            raise ValueError(f"k_ignore must be >= 0, got {self.k_ignore}")
 
 
-def candidate_seed(example_seed: int, actor_index: int) -> int:
-    """Stable per-actor sampler seed derived from the example seed."""
-    return int(np.random.SeedSequence([int(example_seed), int(actor_index)])
-               .generate_state(1)[0])
-
-
-def label_and_ignore(candidates: list[list[Trajectory]],
+def label_and_ignore(candidates: list[CandidateSet],
                      gt: list[Trajectory],
                      k_ignore: int) -> list[tuple[int, tuple[int, ...]]]:
     """Ground-truth candidate index and ignore set per actor.
@@ -111,7 +111,7 @@ def label_and_ignore(candidates: list[list[Trajectory]],
         if k_ignore >= len(cands):
             raise InvalidIgnoreSize(
                 f"k_ignore {k_ignore} must be < K = {len(cands)}")
-        order = nearest_candidates(cands, [target])[0].tolist()
+        order = nearest_candidates(cands, target)[0].tolist()
         labels.append((order[0], tuple(order[1:k_ignore + 1])))
     return labels
 
@@ -192,11 +192,11 @@ def loss(tables: EnergyTables, ms: MarginalSet,
 
 
 def example_candidates(example: TrainingExample,
-                       sampler_cfg: SamplerConfig) -> list[list[Trajectory]]:
+                       sampler_cfg: SamplerConfig) -> list[CandidateSet]:
     out = []
     for i, past in enumerate(example.pasts):
         state = estimate_state(past)
-        cfg = replace(sampler_cfg, seed=candidate_seed(example.seed, i))
+        cfg = replace(sampler_cfg, seed=derived_seed(example.seed, i))
         out.append(sample_candidates(state, cfg))
     return out
 
@@ -296,12 +296,11 @@ def train(params0: EnergyParams, dataset: list[TrainingExample],
         if mean_loss > train_cfg.divergence_threshold:
             raise DivergenceError(f"loss {mean_loss} exceeded threshold")
         grad = np.mean([r.gradient for r in reports], axis=0)
-        params = replace(params,
-                         w_ego=params.w_ego - train_cfg.lr * grad[:f],
-                         w_actor=params.w_actor - train_cfg.lr * grad[f:])
-        if not (np.all(np.isfinite(params.w_ego))
-                and np.all(np.isfinite(params.w_actor))):
+        w_ego = params.w_ego - train_cfg.lr * grad[:f]
+        w_actor = params.w_actor - train_cfg.lr * grad[f:]
+        if not (np.all(np.isfinite(w_ego)) and np.all(np.isfinite(w_actor))):
             raise DivergenceError("weights became non-finite")
+        params = replace(params, w_ego=w_ego, w_actor=w_actor)
     return params, curve
 
 
@@ -348,7 +347,7 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
             poses = np.column_stack([past_pos, np.full(4, heading)])
             past = Trajectory(start_time=-3 * sampler_cfg.dt, dt=sampler_cfg.dt,
                               poses=poses, speeds=np.full(4, speed))
-            cfg = replace(sampler_cfg, seed=candidate_seed(ex_seed, a))
+            cfg = replace(sampler_cfg, seed=derived_seed(ex_seed, a))
             cands = sample_candidates(estimate_state(past), cfg)
             feats = extract_features_batch(cands, lane, ref_speed)
             gt_idx = int(np.argmin(feats[:, 1] + feats[:, 4]))

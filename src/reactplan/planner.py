@@ -22,7 +22,7 @@ import numpy as np
 from .energy import EnergyTables
 from .errors import InvalidSetSize
 from .inference import LbpConfig, MarginalSet, lbp, set_conditionals
-from .sampler import Trajectory, nearest_candidates
+from .sampler import CandidateSet, nearest_candidates
 
 VARIANTS = ("reactive", "nonreactive", "interpolated")
 
@@ -101,7 +101,7 @@ def ego_pair_energy(tables: EnergyTables) -> np.ndarray:
     return tables.pairwise[0, 1:] + tables.pairwise[1:, 0].transpose(0, 2, 1)
 
 
-def conditioning_sets(ego_candidates: list[Trajectory], set_size: int) -> np.ndarray:
+def conditioning_sets(ego_candidates: CandidateSet, set_size: int) -> np.ndarray:
     """Conditioning sets of all K candidates, shape (K, set_size): row a holds
     candidate a, then its set_size - 1 nearest other candidates by squared
     waypoint distance, ties toward the lower index."""
@@ -114,12 +114,7 @@ def conditioning_sets(ego_candidates: list[Trajectory], set_size: int) -> np.nda
     return np.hstack([own, others[:, :set_size - 1]])
 
 
-def conditioning_set(ego_candidates: list[Trajectory], a0: int, k: int) -> list[int]:
-    """Row a0 of ``conditioning_sets``."""
-    return conditioning_sets(ego_candidates, k)[a0].tolist()
-
-
-def score(ego_candidates: list[Trajectory], tables: EnergyTables, ms: MarginalSet,
+def score(ego_candidates: CandidateSet | None, tables: EnergyTables, ms: MarginalSet,
           cfg: PlannerConfig) -> PlanResult:
     """All K objective values of ``cfg.variant`` under the beliefs ``ms``.
 
@@ -130,6 +125,7 @@ def score(ego_candidates: list[Trajectory], tables: EnergyTables, ms: MarginalSe
     expected actor unary is omitted where it does not depend on the
     candidate: always for nonreactive, at k = K for interpolated. A
     degenerate candidate scores an infinite interaction and no actor term.
+    Only the interpolated variant reads ``ego_candidates``.
     """
     k = tables.k
     pair = ego_pair_energy(tables).transpose(1, 0, 2)            # (K_ego, N, K)
@@ -160,7 +156,7 @@ def reactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
     with actor predictions conditioned on the evaluated ego candidate
     (infinite for a degenerate candidate)."""
     cfg = replace(cfg, variant="reactive")
-    return float(score([], tables, ms, cfg).objective_values[a0])
+    return float(score(None, tables, ms, cfg).objective_values[a0])
 
 
 def nonreactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
@@ -168,19 +164,19 @@ def nonreactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
     """Same cost terms under unconditioned actor marginals; the actor unary
     expectation is constant across ego candidates and therefore omitted."""
     cfg = replace(cfg, variant="nonreactive")
-    return float(score([], tables, ms, cfg).objective_values[a0])
+    return float(score(None, tables, ms, cfg).objective_values[a0])
 
 
 def interpolated_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
                            k: int, cfg: PlannerConfig,
-                           ego_candidates: list[Trajectory]) -> float:
+                           ego_candidates: CandidateSet) -> float:
     """Reactive objective with set conditioning; at k = K the actor unary
     term no longer depends on the candidate and is dropped."""
     cfg = replace(cfg, variant="interpolated", set_size=k)
     return float(score(ego_candidates, tables, ms, cfg).objective_values[a0])
 
 
-def plan(ego_candidates: list[Trajectory], tables: EnergyTables,
+def plan(ego_candidates: CandidateSet, tables: EnergyTables,
          cfg: PlannerConfig) -> PlanResult:
     """One inference pass, all K candidates scored, argmin returned.
 

@@ -3,12 +3,13 @@
 Each candidate is drawn from one of three motion modes (straight line,
 circular arc, clothoid-style spiral) with uniformly sampled control
 parameters, then rolled out with midpoint integration. Candidate 0 is always
-the stationary trajectory so a stopping option exists.
+the stationary trajectory so a stopping option exists. A vehicle's K
+candidates travel together as one ``CandidateSet`` of (K, T) arrays.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,26 @@ INTEGRATION_SUBSTEPS = 10
 MODE_LINE = 0
 MODE_CIRCLE = 1
 MODE_SPIRAL = 2
+
+
+def _check_arrays(obj, lead: str) -> None:
+    """Validate and store ``obj.poses`` (..., T, 3) and ``obj.speeds``
+    (..., T) as float arrays; ``lead`` names the axes before T ("" for one
+    trajectory, "K, " for a candidate set), and every axis must be >= 1."""
+    poses = np.asarray(obj.poses, dtype=float)
+    speeds = np.asarray(obj.speeds, dtype=float)
+    if poses.ndim != 2 + bool(lead) or poses.shape[-1] != 3 or 0 in poses.shape:
+        raise ValueError(f"poses must be a ({lead}T, 3) array with {lead}T >= 1")
+    if speeds.shape != poses.shape[:-1]:
+        raise ValueError(f"speeds must be a ({lead}T{'' if lead else ','}) array")
+    if not (np.isfinite(poses).all() and np.isfinite(speeds).all()):
+        raise ValueError("trajectory entries must be finite")
+    if (speeds < 0).any():
+        raise ValueError("speeds must be non-negative")
+    if obj.dt <= 0:
+        raise ValueError("dt must be positive")
+    object.__setattr__(obj, "poses", poses)
+    object.__setattr__(obj, "speeds", speeds)
 
 
 @dataclass(frozen=True)
@@ -36,20 +57,7 @@ class Trajectory:
     speeds: np.ndarray   # (T,)
 
     def __post_init__(self):
-        poses = np.asarray(self.poses, dtype=float)
-        speeds = np.asarray(self.speeds, dtype=float)
-        if poses.ndim != 2 or poses.shape[1] != 3 or poses.shape[0] < 1:
-            raise ValueError("poses must be a (T, 3) array with T >= 1")
-        if speeds.shape != (poses.shape[0],):
-            raise ValueError("speeds must be a (T,) array")
-        if not (np.isfinite(poses).all() and np.isfinite(speeds).all()):
-            raise ValueError("trajectory entries must be finite")
-        if (speeds < 0).any():
-            raise ValueError("speeds must be non-negative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "poses", poses)
-        object.__setattr__(self, "speeds", speeds)
+        _check_arrays(self, "")
 
     def __len__(self) -> int:
         return self.poses.shape[0]
@@ -97,6 +105,42 @@ class Trajectory:
         return cls(start_time=data["start_time"], dt=data["dt"],
                    poses=np.asarray(data["poses"], dtype=float),
                    speeds=np.asarray(data["speeds"], dtype=float))
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    """The K candidate trajectories of one vehicle on one time grid.
+
+    Row a of ``poses`` (K, T, 3) and ``speeds`` (K, T) is candidate a; the
+    arrays are checked once for the whole set, by the rules of ``Trajectory``.
+    """
+
+    start_time: float
+    dt: float
+    poses: np.ndarray    # (K, T, 3): x, y, heading
+    speeds: np.ndarray   # (K, T)
+
+    def __post_init__(self):
+        _check_arrays(self, "K, ")
+
+    def __len__(self) -> int:
+        return self.poses.shape[0]
+
+    def __getitem__(self, a) -> Trajectory:
+        a = operator.index(a)
+        return Trajectory(start_time=self.start_time, dt=self.dt,
+                          poses=self.poses[a], speeds=self.speeds[a])
+
+    def __iter__(self):
+        return (self[a] for a in range(len(self)))
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.poses[..., :2]
+
+    @property
+    def headings(self) -> np.ndarray:
+        return self.poses[..., 2]
 
 
 @dataclass(frozen=True)
@@ -151,14 +195,6 @@ class SamplerConfig:
                    v_max=data["v_max"], seed=data["seed"])
 
 
-@dataclass(frozen=True)
-class CandidateControls:
-    mode: int
-    accel: float
-    curvature: float
-    curvature_rate: float
-
-
 def estimate_state(past: Trajectory) -> KinematicState:
     """Kinematic state from a past trajectory: last pose, recent mean speed.
 
@@ -204,32 +240,15 @@ def _draw_control_arrays(cfg: SamplerConfig, indices) -> tuple[np.ndarray, ...]:
     return mode, accel, curvature, rate
 
 
-def draw_controls(cfg: SamplerConfig, index: int) -> CandidateControls:
-    """Control parameters for candidate ``index`` (index >= 1); see
-    ``_draw_control_arrays``."""
-    mode, accel, curvature, rate = (x[0] for x in _draw_control_arrays(cfg, [index]))
-    return CandidateControls(mode=int(mode), accel=float(accel),
-                             curvature=float(curvature), curvature_rate=float(rate))
-
-
-def integrate_controls(state: KinematicState, controls, cfg: SamplerConfig,
-                       start_time: float = 0.0) -> list[Trajectory]:
-    """Roll out one or more control draws from a common start state.
+def _rollout(state: KinematicState, accel: np.ndarray, kappa0: np.ndarray,
+             rate: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Poses (n, T, 3) and speeds (n, T) of n control draws, each control
+    array (n,), rolled out from a common start state.
 
     Speed follows v(t) = clip(v0 + a*t, 0, v_max); heading follows
     theta(s) = theta0 + kappa0*s + 0.5*rate*s^2 in arclength s. Positions use
     midpoint integration with INTEGRATION_SUBSTEPS substeps per dt.
     """
-    if isinstance(controls, CandidateControls):
-        controls = [controls]
-    return _rollout(state, np.array([c.accel for c in controls]),
-                    np.array([c.curvature for c in controls]),
-                    np.array([c.curvature_rate for c in controls]), cfg, start_time)
-
-
-def _rollout(state: KinematicState, accel: np.ndarray, kappa0: np.ndarray,
-             rate: np.ndarray, cfg: SamplerConfig, start_time: float) -> list[Trajectory]:
-    """``integrate_controls`` for control arrays, each (n,)."""
     n = len(accel)
     T = cfg.horizon_steps
     h0 = state.pose.heading
@@ -264,47 +283,39 @@ def _rollout(state: KinematicState, accel: np.ndarray, kappa0: np.ndarray,
                                  + 0.5 * rate[:, None] * s_end ** 2)
     speeds[:, 1:] = np.clip(v0 + accel[:, None] * (ends * h_sub), 0.0, cfg.v_max)
 
-    return [Trajectory(start_time=start_time, dt=cfg.dt,
-                       poses=poses[i], speeds=speeds[i]) for i in range(n)]
-
-
-def _stationary(state: KinematicState, cfg: SamplerConfig, start_time: float) -> Trajectory:
-    T = cfg.horizon_steps
-    poses = np.tile([state.pose.x, state.pose.y, state.pose.heading], (T, 1))
-    return Trajectory(start_time=start_time, dt=cfg.dt, poses=poses, speeds=np.zeros(T))
+    return poses, speeds
 
 
 def sample_candidates(state: KinematicState, cfg: SamplerConfig,
-                      start_time: float = 0.0) -> list[Trajectory]:
+                      start_time: float = 0.0) -> CandidateSet:
     """Exactly K candidate trajectories anchored at the current pose.
 
     Candidate 0 is the stationary trajectory; candidates 1..K-1 come from
     per-candidate seeded control draws, which makes the output prefix-stable
     under increasing K and bit-identical for a fixed seed.
     """
-    candidates = [_stationary(state, cfg, start_time)]
-    if cfg.k > 1:
-        _, accel, curvature, rate = _draw_control_arrays(cfg, range(1, cfg.k))
-        candidates.extend(_rollout(state, accel, curvature, rate, cfg, start_time))
-    return candidates
+    _, accel, curvature, rate = _draw_control_arrays(cfg, range(1, cfg.k))
+    poses, speeds = _rollout(state, accel, curvature, rate, cfg)
+    T = cfg.horizon_steps
+    still = np.tile([state.pose.x, state.pose.y, state.pose.heading], (1, T, 1))
+    return CandidateSet(start_time=start_time, dt=cfg.dt,
+                        poses=np.concatenate([still, poses]),
+                        speeds=np.concatenate([np.zeros((1, T)), speeds]))
 
 
-def nearest_candidates(candidates: Sequence[Trajectory],
-                       targets: Sequence[Trajectory]) -> np.ndarray:
-    """Candidate indices ranked for each target, shape (len(targets), K):
-    by squared positional distance summed over waypoints, nearest first,
-    ties toward the lower index."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    ref = candidates[0]
-    if any(len(t) != len(ref) or t.dt != ref.dt for t in (*candidates, *targets)):
+def derived_seed(*parts) -> int:
+    """Stable seed derived from integer parts, e.g. (run seed, vehicle index)."""
+    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+
+
+def nearest_candidates(candidates: CandidateSet, targets) -> np.ndarray:
+    """Candidate indices ranked for each target, shape (n, K), where
+    ``targets`` is a set of n trajectories or one ``Trajectory`` (n = 1): by
+    squared positional distance summed over waypoints, nearest first, ties
+    toward the lower index."""
+    pos = candidates.positions                                   # (K, T, 2)
+    if targets.poses.shape[-2] != pos.shape[1] or targets.dt != candidates.dt:
         raise HorizonMismatch("trajectories must share length and dt")
-    pos = np.stack([c.positions for c in candidates])           # (K, T, 2)
-    tgt = np.stack([t.positions for t in targets])              # (n, T, 2)
+    tgt = targets.positions.reshape(-1, *pos.shape[1:])          # (n, T, 2)
     diff = (pos[None] - tgt[:, None]).reshape(len(tgt), len(pos), -1)
     return np.argsort(np.sum(diff * diff, axis=2), axis=1, kind="stable")
-
-
-def closest_candidate(candidates: Sequence[Trajectory], target: Trajectory) -> int:
-    """Index of the candidate nearest ``target``; see ``nearest_candidates``."""
-    return int(nearest_candidates(candidates, [target])[0, 0])

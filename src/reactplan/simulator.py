@@ -28,7 +28,7 @@ from .geometry import (OrientedBox, Pose2, box_arrays, boxes_overlap_grid,
 # this module's ``boxes_overlap`` name, so the name must stay resolvable.
 from .geometry import boxes_overlap  # noqa: F401
 from .planner import PlannerConfig, plan
-from .sampler import KinematicState, SamplerConfig, sample_candidates
+from .sampler import KinematicState, SamplerConfig, derived_seed, sample_candidates
 from .scenarios import CarFollowingParams, Lane, Scenario, vehicle_box
 
 OUTCOME_GOAL = "GoalReached"
@@ -170,10 +170,6 @@ def actor_policy_step(states: list[ActorState], lanes: list[Lane],
     return new_states, realized.tolist()
 
 
-def _derived_seed(parts) -> int:
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
-
-
 def _goal_progress(scenario: Scenario, position: np.ndarray) -> float:
     kind, target = scenario.ego.goal
     if kind == "point":
@@ -228,7 +224,7 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
                 [KinematicState(st.pose, st.speed) for st in actor_states]
             candidates = []
             for idx, state in enumerate(all_states):
-                cfg = replace(sampler_cfg, seed=_derived_seed((seed, step, idx)))
+                cfg = replace(sampler_cfg, seed=derived_seed(seed, step, idx))
                 candidates.append(sample_candidates(state, cfg, start_time=t))
             tables = build_tables(candidates, boxes, lanes_for_tables,
                                   ref_speeds, goal_target, energy_params)
@@ -354,7 +350,7 @@ def run_suite(templates: list[Scenario], n_variants: int,
         for v_idx in range(n_variants):
             pert_rng = np.random.default_rng(
                 np.random.SeedSequence([int(seed), t_idx, v_idx, 0]))
-            episode_seed = _derived_seed((seed, t_idx, v_idx, 1))
+            episode_seed = derived_seed(seed, t_idx, v_idx, 1)
             try:
                 scenario = perturb_scenario(template, pert_rng)
             except InfeasiblePerturbation:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from reactplan.energy import BoxDims, EnergyTables, _check_horizons
+from reactplan.energy import BoxDims, EnergyTables
 from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 boxes_overlap, boxes_overlap_grid,
                                 point_to_box_distance, point_to_box_distance_grid,
@@ -12,7 +12,7 @@ from reactplan.errors import HorizonMismatch
 from reactplan.inference import _lse, _softmax, lbp
 from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
-                               MODE_SPIRAL, CandidateControls, KinematicState,
+                               MODE_SPIRAL, CandidateSet, KinematicState,
                                SamplerConfig, Trajectory, sample_candidates)
 from reactplan.simulator import CORRIDOR_MARGIN, ActorState
 
@@ -133,6 +133,15 @@ def straight_trajectory(start, heading, speed, steps=8, dt=0.5, start_time=0.0):
 def stationary_trajectory(point, heading=0.0, steps=8, dt=0.5):
     poses = np.tile([point[0], point[1], heading], (steps, 1))
     return Trajectory(start_time=0.0, dt=dt, poses=poses, speeds=np.zeros(steps))
+
+
+def candidate_set(trajectories) -> CandidateSet:
+    """One vehicle's candidate set from hand-made trajectories that share a
+    start time, dt and length; the first trajectory gives start time and dt."""
+    first = trajectories[0]
+    return CandidateSet(start_time=first.start_time, dt=first.dt,
+                        poses=np.stack([t.poses for t in trajectories]),
+                        speeds=np.stack([t.speeds for t in trajectories]))
 
 
 def random_box(rng, half_max=0.5, span=1.5) -> OrientedBox:
@@ -256,9 +265,9 @@ def interaction_tables_reference(candidates, boxes, gamma, d_safe):
     unordered pair for collision, then one per ordered pair for safety."""
     m = len(candidates)
     k = len(candidates[0])
-    pos = np.stack([np.stack([c.positions for c in cands]) for cands in candidates])
-    heads = np.stack([np.stack([c.headings for c in cands]) for cands in candidates])
-    speeds = np.stack([np.stack([c.speeds for c in cands]) for cands in candidates])
+    pos = np.stack([c.positions for c in candidates])
+    heads = np.stack([c.headings for c in candidates])
+    speeds = np.stack([c.speeds for c in candidates])
     pairwise = np.zeros((m, m, k, k))
     fut = slice(1, None)
     for i in range(m):
@@ -279,6 +288,11 @@ def interaction_tables_reference(candidates, boxes, gamma, d_safe):
             pen = np.maximum(0.0, d_safe - dist)
             pairwise[i, j] += np.einsum("at,abt->ab", speeds[i][:, fut], pen ** 2)
     return pairwise
+
+
+def _check_horizons(a, b) -> None:
+    if len(a) != len(b) or a.dt != b.dt:
+        raise HorizonMismatch("trajectories must share horizon and dt")
 
 
 def waypoint_box(traj, dims, t) -> OrientedBox:
@@ -354,9 +368,10 @@ def actor_policy_step_reference(state, lane, own_box, hazards, params, dt):
 
 
 def draw_controls_reference(cfg, index):
-    """Reference for ``sampler.draw_controls``: one ``Generator`` per
-    candidate, seeded by (seed, index), with one ``uniform`` call per drawn
-    parameter."""
+    """Reference for one row of ``sampler._draw_control_arrays``: one
+    ``Generator`` per candidate, seeded by (seed, index), with one
+    ``uniform`` call per drawn parameter. Returns (mode, accel, curvature,
+    curvature rate)."""
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(index)]))
     u = rng.uniform()
     p_line, p_circle, _ = cfg.mode_probs
@@ -373,19 +388,14 @@ def draw_controls_reference(cfg, index):
         curvature = rng.uniform(*cfg.curvature_range)
     if mode == MODE_SPIRAL:
         rate = rng.uniform(*cfg.spiral_rate_range)
-    return CandidateControls(mode=mode, accel=accel, curvature=curvature,
-                             curvature_rate=rate)
+    return mode, accel, curvature, rate
 
 
-def integrate_controls_reference(state, controls, cfg, start_time=0.0):
-    """Substep-by-substep reference for ``sampler.integrate_controls``."""
-    if isinstance(controls, CandidateControls):
-        controls = [controls]
-    n = len(controls)
+def integrate_controls_reference(state, accel, kappa0, rate, cfg):
+    """Substep-by-substep reference for ``sampler._rollout``: poses (n, T, 3)
+    and speeds (n, T) of the control arrays, each (n,)."""
+    n = len(accel)
     T = cfg.horizon_steps
-    accel = np.array([c.accel for c in controls])
-    kappa0 = np.array([c.curvature for c in controls])
-    rate = np.array([c.curvature_rate for c in controls])
     h0 = state.pose.heading
     v0 = state.speed
     poses = np.empty((n, T, 3))
@@ -412,8 +422,7 @@ def integrate_controls_reference(state, controls, cfg, start_time=0.0):
         poses[:, step, 1] = y
         poses[:, step, 2] = wrap_angle(h0 + kappa0 * s + 0.5 * rate * s ** 2)
         speeds[:, step] = np.clip(v0 + accel * (sub * h_sub), 0.0, cfg.v_max)
-    return [Trajectory(start_time=start_time, dt=cfg.dt,
-                       poses=poses[i], speeds=speeds[i]) for i in range(n)]
+    return poses, speeds
 
 
 def trajectory_l2(a, b) -> float:

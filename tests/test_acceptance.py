@@ -8,9 +8,9 @@ import time
 
 import numpy as np
 
-from conftest import (joint_distribution, joint_energy_grid, random_box,
-                      random_tables, straight_trajectory, tree_tables,
-                      tv_distance)
+from conftest import (candidate_set, joint_distribution, joint_energy_grid,
+                      random_box, random_tables, straight_trajectory,
+                      tree_tables, tv_distance)
 from reactplan.config import RunConfig
 from reactplan.energy import EnergyParams, EnergyTables
 from reactplan.geometry import Pose2, boxes_overlap
@@ -20,8 +20,8 @@ from reactplan.learning import (TrainConfig, batch_loss, gradient, predict_top1,
 from reactplan.planner import (PlannerConfig, interpolated_objective,
                                nonreactive_objective, plan, reactive_objective)
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
-                               KinematicState, SamplerConfig, draw_controls,
-                               sample_candidates)
+                               KinematicState, SamplerConfig,
+                               _draw_control_arrays, sample_candidates)
 from reactplan.scenarios import builtin_templates
 from reactplan.simulator import run_suite
 
@@ -141,8 +141,8 @@ class TestCriterion4InterpolationEndpoints:
             k = int(rng.integers(3, 6))
             tables = random_tables(rng, m=3, k=k, coupling=0.5)
             ms = lbp(tables, LbpConfig(max_iters=200, tol=1e-10))
-            cands = [straight_trajectory((0.0, 1.0 * i * i), 0.0, 5.0)
-                     for i in range(k)]
+            cands = candidate_set([straight_trajectory((0.0, 1.0 * i * i), 0.0, 5.0)
+                                   for i in range(k)])
             cfg = PlannerConfig(variant="reactive", lambda_b=1.0,
                                 lambda_c=0.4, w_goal=0.3, lbp=LbpConfig())
             for a0 in range(k):
@@ -267,8 +267,8 @@ class TestCriterion8SamplerAndInvariants:
         cfg = SamplerConfig(seed=808)
         n = 100_000
         counts = {MODE_LINE: 0, MODE_CIRCLE: 0, MODE_SPIRAL: 0}
-        for idx in range(1, n + 1):
-            counts[draw_controls(cfg, idx).mode] += 1
+        for mode in _draw_control_arrays(cfg, range(1, n + 1))[0].tolist():
+            counts[mode] += 1
         ok = True
         detail = []
         for mode, p in zip((MODE_LINE, MODE_CIRCLE, MODE_SPIRAL),
@@ -314,8 +314,8 @@ class TestCriterion8SamplerAndInvariants:
 
     def test_argmin_shift_invariance_property(self):
         ok = True
-        cands = [straight_trajectory((0.0, float(i * i)), 0.0, 5.0)
-                 for i in range(4)]
+        cands = candidate_set([straight_trajectory((0.0, float(i * i)), 0.0, 5.0)
+                               for i in range(4)])
         cfg = PlannerConfig(variant="reactive", lambda_b=1.0, lambda_c=0.3,
                             w_goal=0.5, lbp=LbpConfig())
         for seed in range(1000):

@@ -192,6 +192,25 @@ class TestCmdTrain:
         assert main(["--out", str(tmp_path / "o"), "train",
                      str(tmp_path / "none.jsonl")]) == 2
 
+    def test_non_finite_weights_exit_4(self, tmp_path, small_config, capsys):
+        # the first step overflows: the largest gradient component is about 1.23
+        data = self._dataset(tmp_path)
+        code = main(["--config", str(small_config), "--out", str(tmp_path / "out"),
+                     "train", str(data), "--lr", "1.79e308", "--epochs", "3"])
+        assert code == 4
+        assert "weights became non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--epochs", "0"], ["--k-ignore", "-3"],
+                                        ["--lr", "nan"], ["--lr", "-0.5"],
+                                        ["--lr", "inf"]])
+    def test_bad_training_option_exits_2(self, tmp_path, small_config, capsys, option):
+        data = self._dataset(tmp_path)
+        code = main(["--config", str(small_config), "--out", str(tmp_path / "out"),
+                     "train", str(data), *option])
+        assert code == 2
+        assert "invalid training option" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdSimulate:
     def _template_dir(self, tmp_path, timer=6.0):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (collision_energy, interaction_tables_reference,
-                      random_scene, safety_energy, stationary_trajectory,
-                      straight_trajectory)
+from conftest import (candidate_set, collision_energy,
+                      interaction_tables_reference, random_scene, safety_energy,
+                      stationary_trajectory, straight_trajectory)
 from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
                               build_tables, extract_features_batch,
                               goal_energy_batch, interaction_tables)
@@ -27,7 +27,7 @@ class TestExtractFeatures:
     def test_lane_tracing_trajectory(self):
         lane = straight_lane()
         traj = straight_trajectory((0, 0), 0.0, 6.0)
-        f = extract_features_batch([traj], lane, ref_speed=6.0)[0]
+        f = extract_features_batch(candidate_set([traj]), lane, ref_speed=6.0)[0]
         progress, lateral, accel_sq, curv_sq, speed_dev, align = f
         assert lateral == pytest.approx(0.0, abs=1e-12)
         assert align == pytest.approx(0.0, abs=1e-12)
@@ -36,14 +36,14 @@ class TestExtractFeatures:
 
     def test_stationary_trajectory(self):
         traj = stationary_trajectory((2.0, 1.0))
-        f = extract_features_batch([traj], straight_lane(), 5.0)[0]
+        f = extract_features_batch(candidate_set([traj]), straight_lane(), 5.0)[0]
         assert f[0] == pytest.approx(0.0)   # progress
         assert f[2] == pytest.approx(0.0)   # accel
         assert f[4] == pytest.approx(5.0)   # speed deviation
 
     def test_constant_offset(self):
         traj = straight_trajectory((0, 2.0), 0.0, 5.0)
-        f = extract_features_batch([traj], straight_lane(), 5.0)[0]
+        f = extract_features_batch(candidate_set([traj]), straight_lane(), 5.0)[0]
         assert f[1] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -174,21 +174,23 @@ class TestSafetyEnergy:
 class TestGoalEnergy:
     def test_final_waypoint_at_goal(self):
         traj = straight_trajectory((0, 0), 0.0, 5.0, steps=5, dt=0.5)
-        assert goal_energy_batch([traj], traj.positions[-1])[0] == 0.0
+        assert goal_energy_batch(candidate_set([traj]), traj.positions[-1])[0] == 0.0
 
     def test_three_four_five(self):
         traj = stationary_trajectory((3.0, 4.0))
-        assert goal_energy_batch([traj], np.array([0.0, 0.0]))[0] == pytest.approx(5.0)
+        goal = np.array([0.0, 0.0])
+        assert goal_energy_batch(candidate_set([traj]), goal)[0] == pytest.approx(5.0)
 
     def test_offset_lane(self):
         traj = straight_trajectory((0, 2.0), 0.0, 5.0)
-        assert goal_energy_batch([traj], straight_lane())[0] == pytest.approx(2.0, abs=1e-9)
+        assert goal_energy_batch(candidate_set([traj]), straight_lane())[0] == \
+            pytest.approx(2.0, abs=1e-9)
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(2)
         traj = straight_trajectory((1.0, -2.0), 0.3, 6.0)
         lane = Polyline([[0, 0], [10, 2], [25, 2]])
-        base = goal_energy_batch([traj], lane)[0]
+        base = goal_energy_batch(candidate_set([traj]), lane)[0]
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi)
             shift = rng.uniform(-30, 30, size=2)
@@ -200,7 +202,8 @@ class TestGoalEnergy:
                 start_time=0.0, dt=traj.dt,
                 poses=np.column_stack([moved_pos, traj.headings + theta]),
                 speeds=traj.speeds)
-            assert goal_energy_batch([moved], moved_lane)[0] == pytest.approx(base, abs=1e-9)
+            assert goal_energy_batch(candidate_set([moved]), moved_lane)[0] == \
+                pytest.approx(base, abs=1e-9)
 
     def test_lane_batch_equals_per_candidate_loop(self):
         rng = np.random.default_rng(9)
@@ -227,12 +230,30 @@ class TestBuildTables:
         params = EnergyParams()
         lane = straight_lane()
         # every candidate of both actors sits on the same spot
-        cands = [[stationary_trajectory((0, 0))] * 3,
-                 [stationary_trajectory((0.5, 0))] * 3]
+        cands = [candidate_set([stationary_trajectory((0, 0))] * 3),
+                 candidate_set([stationary_trajectory((0.5, 0))] * 3)]
         tables = build_tables(cands, [CAR, CAR], [lane, lane], [5.0, 5.0],
                               np.array([10.0, 0.0]), params)
         assert np.all(tables.pairwise[0, 1] >= params.gamma)
         assert np.all(tables.pairwise[1, 0] >= params.gamma)
+
+    def test_rejects_sets_of_different_k(self):
+        lane = straight_lane()
+        cands = [candidate_set([straight_trajectory((0, 0), 0.0, 5.0)] * 3),
+                 candidate_set([straight_trajectory((0, 10), 0.0, 5.0)] * 2)]
+        with pytest.raises(ValueError, match="same candidate count"):
+            build_tables(cands, [CAR, CAR], [lane, lane], [5.0, 5.0],
+                         np.zeros(2), EnergyParams())
+
+    @pytest.mark.parametrize("steps, dt", [(6, 0.5), (8, 0.4)])
+    def test_rejects_sets_of_different_horizon_or_dt(self, steps, dt):
+        lane = straight_lane()
+        other = straight_trajectory((0, 10), 0.0, 5.0, steps=steps, dt=dt)
+        cands = [candidate_set([straight_trajectory((0, 0), 0.0, 5.0)] * 3),
+                 candidate_set([other] * 3)]
+        with pytest.raises(HorizonMismatch):
+            build_tables(cands, [CAR, CAR], [lane, lane], [5.0, 5.0],
+                         np.zeros(2), EnergyParams())
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(4)
@@ -244,7 +265,8 @@ class TestBuildTables:
             m, k = tables.unary.shape
             for i in range(m):
                 for a in range(k):
-                    f = extract_features_batch([candidates[i][a]], lanes[i], refs[i])[0]
+                    f = extract_features_batch(candidate_set([candidates[i][a]]),
+                                               lanes[i], refs[i])[0]
                     expected = f @ (params.w_ego if i == 0 else params.w_actor)
                     assert tables.unary[i, a] == pytest.approx(expected, abs=1e-12)
             for i in range(m):
@@ -264,7 +286,7 @@ class TestBuildTables:
                                 expected, abs=1e-12)
             for a in range(k):
                 assert tables.goal[a] == pytest.approx(
-                    goal_energy_batch([candidates[0][a]], goal)[0], abs=1e-12)
+                    goal_energy_batch(candidate_set([candidates[0][a]]), goal)[0], abs=1e-12)
 
     def test_collision_component_symmetric_and_full_table_asymmetric(self):
         rng = np.random.default_rng(5)
@@ -330,8 +352,9 @@ def boundary_pair(rng, d_safe, offset, k=3):
     phi = rng.uniform(-math.pi, math.pi)
     a = rng.uniform(-1000, 1000, size=2)
     b = a + (reach + offset) * np.array([math.cos(phi), math.sin(phi)])
-    cands = [[stationary_trajectory(p, heading=rng.uniform(-math.pi, math.pi), steps=6)
-              for _ in range(k)] for p in (a, b)]
+    cands = [candidate_set([stationary_trajectory(p, heading=rng.uniform(-math.pi, math.pi),
+                                                  steps=6) for _ in range(k)])
+             for p in (a, b)]
     return cands, boxes
 
 
@@ -344,7 +367,7 @@ def corner_touch_pair(box, k=2):
     """Two equal boxes with the same heading whose corners touch: the centres
     are exactly r_i + r_j apart, along the boxes' diagonal."""
     far = (10.0 + 2 * box.half_length, 5.0 + 2 * box.half_width)
-    cands = [[stationary_trajectory(p, steps=4) for _ in range(k)]
+    cands = [candidate_set([stationary_trajectory(p, steps=4) for _ in range(k)])
              for p in ((10.0, 5.0), far)]
     return cands, [box, box]
 
@@ -361,7 +384,7 @@ def safety_edge_pair(d_safe, speed=3.0):
                         poses=np.array([[100.0, 100.0, 0.0], [x, y, 0.0]]),
                         speeds=np.full(2, speed)) for x, y in points]
     other = [stationary_trajectory((0.0, 0.0), steps=2) for _ in points]
-    return [mover, other], [CAR, CAR]
+    return [candidate_set(mover), candidate_set(other)], [CAR, CAR]
 
 
 class TestPrunedInteractionTables:

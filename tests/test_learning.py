@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tables, straight_trajectory, trajectory_l2
+from conftest import candidate_set, random_tables, straight_trajectory, trajectory_l2
 from reactplan.energy import EnergyParams, EnergyTables
 from reactplan.errors import DivergenceError, InvalidIgnoreSize
 from reactplan.geometry import OrientedBox, Pose2, boxes_overlap
@@ -39,12 +39,12 @@ def fd_gradient(params, batch, scfg, tcfg, h=1e-5):
 
 class TestLabelAndIgnore:
     def test_zero_ignore_is_empty(self):
-        cands = [straight_trajectory((0, i), 0.0, 2.0) for i in range(4)]
+        cands = candidate_set([straight_trajectory((0, i), 0.0, 2.0) for i in range(4)])
         labels = label_and_ignore([cands], [cands[2]], k_ignore=0)
         assert labels == [(2, ())]
 
     def test_full_complement(self):
-        cands = [straight_trajectory((0, i), 0.0, 2.0) for i in range(3)]
+        cands = candidate_set([straight_trajectory((0, i), 0.0, 2.0) for i in range(3)])
         labels = label_and_ignore([cands], [cands[1]], k_ignore=2)
         gt, ignore = labels[0]
         assert gt == 1
@@ -58,7 +58,7 @@ class TestLabelAndIgnore:
                      for _ in range(7)]
             target = straight_trajectory(rng.uniform(-5, 5, 2),
                                          rng.uniform(-2, 2), rng.uniform(0, 8))
-            gt, ignore = label_and_ignore([cands], [target], k_ignore=3)[0]
+            gt, ignore = label_and_ignore([candidate_set(cands)], [target], k_ignore=3)[0]
             dists = [trajectory_l2(c, target) for c in cands]
             order = sorted(range(7), key=lambda i: (dists[i], i))
             assert gt == order[0]
@@ -67,12 +67,13 @@ class TestLabelAndIgnore:
     def test_ties_resolve_toward_lower_index(self):
         # offsets 1, -1, 0, 1, -1 from a target at 0: candidate 2 is the
         # ground truth and the other four are equally far
-        cands = [straight_trajectory((0, y), 0.0, 2.0) for y in (1, -1, 0, 1, -1)]
+        cands = candidate_set([straight_trajectory((0, y), 0.0, 2.0)
+                               for y in (1, -1, 0, 1, -1)])
         target = straight_trajectory((0, 0), 0.0, 2.0)
         assert label_and_ignore([cands], [target], k_ignore=3) == [(2, (0, 1, 3))]
 
     def test_ignore_size_bound(self):
-        cands = [straight_trajectory((0, i), 0.0, 2.0) for i in range(3)]
+        cands = candidate_set([straight_trajectory((0, i), 0.0, 2.0) for i in range(3)])
         with pytest.raises(InvalidIgnoreSize):
             label_and_ignore([cands], [cands[0]], k_ignore=3)
 
@@ -236,6 +237,22 @@ class TestTrain:
                           divergence_threshold=1e-12)
         with pytest.raises(DivergenceError):
             train(EnergyParams(), data, SCFG, cfg)
+
+    def test_non_finite_step_diverges(self):
+        # a finite learning rate whose first step overflows the weights (the
+        # largest gradient component here is about 1.18)
+        data = synthetic_dataset(2, seed=9, sampler_cfg=SCFG)
+        cfg = TrainConfig(lr=1.79e308, epochs=3, k_ignore=1,
+                          lbp=LbpConfig(max_iters=5, fixed_iterations=True))
+        with pytest.raises(DivergenceError, match="non-finite"):
+            train(EnergyParams(), data, SCFG, cfg)
+
+    @pytest.mark.parametrize("option", [{"epochs": 0}, {"k_ignore": -3},
+                                        {"lr": -0.1}, {"lr": math.nan},
+                                        {"lr": math.inf}])
+    def test_config_rejects_bad_options(self, option):
+        with pytest.raises(ValueError):
+            TrainConfig(**option)
 
     def test_deterministic(self):
         data = synthetic_dataset(4, seed=14, sampler_cfg=SCFG)

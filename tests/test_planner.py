@@ -4,13 +4,14 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import (joint_distribution, joint_energy_grid, plan_reference,
-                      random_tables, straight_trajectory)
-from reactplan import planner
-from reactplan.energy import EnergyTables
+from conftest import (candidate_set, joint_distribution, joint_energy_grid,
+                      plan_reference, random_scene, random_tables,
+                      straight_trajectory)
+from reactplan import planner, sampler
+from reactplan.energy import EnergyParams, EnergyTables, build_tables
 from reactplan.inference import LbpConfig, exact_marginals, lbp
 from reactplan.errors import InvalidSetSize
-from reactplan.planner import (PlannerConfig, conditioning_set, conditioning_sets,
+from reactplan.planner import (PlannerConfig, conditioning_sets,
                                ego_pair_energy, interpolated_objective,
                                nonreactive_objective, plan, reactive_objective)
 
@@ -25,7 +26,8 @@ def cfg_for(variant="reactive", lambda_b=1.0, lambda_c=1.0, w_goal=0.0,
 
 def make_ego_candidates(k, spacing=1.0):
     """Straight candidates at distinct lateral offsets (distinct l2 distances)."""
-    return [straight_trajectory((0.0, spacing * i ** 2), 0.0, 5.0) for i in range(k)]
+    return candidate_set([straight_trajectory((0.0, spacing * i ** 2), 0.0, 5.0)
+                          for i in range(k)])
 
 
 def ego_only_tables(rng, k=4):
@@ -152,7 +154,7 @@ class TestInterpolatedObjective:
         cfg = cfg_for(w_goal=0.0)
         pair = ego_pair_energy(tables)
         for a0 in range(4):
-            members = conditioning_set(cands, a0, 2)
+            members = conditioning_sets(cands, 2)[a0].tolist()
             slice_ = joint[members].sum(axis=0)
             cond = slice_ / slice_.sum()
             q = np.stack([cond.sum(axis=1), cond.sum(axis=0)])
@@ -171,17 +173,18 @@ class TestInterpolatedObjective:
 
     def test_conditioning_set_contains_candidate_and_nearest(self):
         cands = make_ego_candidates(5)      # lateral offsets 0, 1, 4, 9, 16
-        assert conditioning_set(cands, 0, 1) == [0]
-        assert conditioning_set(cands, 2, 3) == [2, 1, 0]
-        assert conditioning_set(cands, 4, 2) == [4, 3]
+        assert conditioning_sets(cands, 1)[0].tolist() == [0]
+        assert conditioning_sets(cands, 3)[2].tolist() == [2, 1, 0]
+        assert conditioning_sets(cands, 2)[4].tolist() == [4, 3]
 
     def test_conditioning_set_ties_go_to_lower_index_after_itself(self):
         # offsets 0, 1, -1, 1, 0: candidates 0 and 4 coincide, and 1, 2, 3
         # are equally far from both
-        cands = [straight_trajectory((0.0, y), 0.0, 5.0) for y in (0, 1, -1, 1, 0)]
-        assert conditioning_set(cands, 0, 3) == [0, 4, 1]
-        assert conditioning_set(cands, 4, 3) == [4, 0, 1]
-        assert conditioning_set(cands, 3, 4) == [3, 1, 0, 4]
+        cands = candidate_set([straight_trajectory((0.0, y), 0.0, 5.0)
+                               for y in (0, 1, -1, 1, 0)])
+        assert conditioning_sets(cands, 3)[0].tolist() == [0, 4, 1]
+        assert conditioning_sets(cands, 3)[4].tolist() == [4, 0, 1]
+        assert conditioning_sets(cands, 4)[3].tolist() == [3, 1, 0, 4]
         np.testing.assert_array_equal(conditioning_sets(cands, 1), [[0], [1], [2], [3], [4]])
 
 
@@ -305,8 +308,8 @@ class TestBatchedScoring:
             unary[0, rng.random(k) < 0.3] += 1e4
             tables = EnergyTables(unary=unary, pairwise=tables.pairwise,
                                   goal=tables.goal)
-            cands = [straight_trajectory((0.0, float(y)), 0.0, 5.0)
-                     for y in rng.integers(-2, 3, size=k)]
+            cands = candidate_set([straight_trajectory((0.0, float(y)), 0.0, 5.0)
+                                   for y in rng.integers(-2, 3, size=k)])
             lbp_cfg = LbpConfig(max_iters=int(rng.integers(1, 60)))
             variants = [("reactive", None), ("nonreactive", None)]
             variants += [("interpolated", s) for s in range(1, k + 1)]
@@ -348,6 +351,30 @@ class TestBatchedScoring:
             calls.clear()
             plan(make_ego_candidates(4), tables, cfg_for(variant, set_size=set_size))
             assert len(calls) == 1
+
+
+class TestCandidateArrays:
+    def test_replan_builds_no_trajectory(self, monkeypatch):
+        # sampling, tables and every planning variant read the candidate
+        # arrays directly; none of them splits a set into trajectories
+        made = []
+        check = sampler.Trajectory.__post_init__
+
+        def counting_post_init(self):
+            made.append(1)
+            check(self)
+
+        monkeypatch.setattr(sampler.Trajectory, "__post_init__", counting_post_init)
+        candidates, boxes, lanes, refs = random_scene(np.random.default_rng(20),
+                                                      n_actors=3, k=5, span=6.0)
+        assert made == []
+        tables = build_tables(candidates, boxes, lanes, refs, lanes[0], EnergyParams())
+        for variant, set_size in (("reactive", None), ("nonreactive", None),
+                                  ("interpolated", 3)):
+            plan(candidates[0], tables, cfg_for(variant, set_size=set_size))
+        assert made == []
+        candidates[0][2]
+        assert made == [1]
 
 
 class TestArgminShiftInvariance:

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (draw_controls_reference, integrate_controls_reference,
-                      stationary_trajectory, straight_trajectory, trajectory_l2)
+from conftest import (candidate_set, draw_controls_reference,
+                      integrate_controls_reference, stationary_trajectory,
+                      straight_trajectory, trajectory_l2)
 from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
-from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
+from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL, CandidateSet,
                                KinematicState, SamplerConfig, Trajectory,
-                               _draw_control_arrays, closest_candidate,
-                               draw_controls, estimate_state, integrate_controls,
+                               _draw_control_arrays, _rollout, estimate_state,
                                nearest_candidates, sample_candidates)
 
 
@@ -59,7 +59,7 @@ class TestSampleCandidates:
         state = KinematicState(Pose2(0.0, 0.0, 0.0), speed=5.0)
         cfg = SamplerConfig(k=4, horizon_steps=8, dt=0.5, mode_probs=(1.0, 0.0, 0.0),
                             accel_range=(0.0, 0.0), seed=3)
-        for cand in sample_candidates(state, cfg)[1:]:
+        for cand in list(sample_candidates(state, cfg))[1:]:
             steps = np.diff(cand.positions, axis=0)
             np.testing.assert_allclose(steps[:, 0], 2.5, atol=1e-9)
             np.testing.assert_allclose(steps[:, 1], 0.0, atol=1e-9)
@@ -68,7 +68,7 @@ class TestSampleCandidates:
         state = KinematicState(Pose2(0.0, 0.0, 0.0), speed=5.0)
         cfg = SamplerConfig(k=3, horizon_steps=9, dt=0.5, mode_probs=(0.0, 1.0, 0.0),
                             accel_range=(0.0, 0.0), curvature_range=(0.1, 0.1), seed=5)
-        for cand in sample_candidates(state, cfg)[1:]:
+        for cand in list(sample_candidates(state, cfg))[1:]:
             change = wrap_angle(cand.headings[-1] - cand.headings[0])
             assert change == pytest.approx(0.1 * 5.0 * 4.0, abs=1e-6)
 
@@ -128,28 +128,29 @@ class TestIntegrateControlsMatchesReference:
             speed = float(rng.choice([0.0, rng.uniform(0.0, 1.5 * cfg.v_max)]))
             state = KinematicState(Pose2(*rng.uniform(-500, 500, size=2),
                                          rng.uniform(-math.pi, math.pi)), speed)
-            controls = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
-            got = integrate_controls(state, controls, cfg, start_time=1.5)
-            want = integrate_controls_reference(state, controls, cfg, start_time=1.5)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.start_time == w.start_time and g.dt == w.dt
-                assert np.array_equal(g.poses, w.poses)
-                assert np.array_equal(g.speeds, w.speeds)
-                clipped_low += np.any(g.speeds[1:] == 0.0)
-                clipped_high += np.any(g.speeds[1:] == cfg.v_max)
+            controls = _draw_control_arrays(cfg, range(1, cfg.k))[1:]
+            poses, speeds = _rollout(state, *controls, cfg)
+            want_poses, want_speeds = integrate_controls_reference(state, *controls, cfg)
+            got = sample_candidates(state, cfg, start_time=1.5)
+            assert len(poses) == len(want_poses) == cfg.k - 1
+            assert got.start_time == 1.5 and got.dt == cfg.dt
+            assert np.array_equal(got.poses[1:], poses)
+            assert np.array_equal(got.speeds[1:], speeds)
+            assert np.array_equal(poses, want_poses)
+            assert np.array_equal(speeds, want_speeds)
+            clipped_low += np.any(speeds[:, 1:] == 0.0, axis=1).sum()
+            clipped_high += np.any(speeds[:, 1:] == cfg.v_max, axis=1).sum()
         assert clipped_low > 0 and clipped_high > 0
 
     def test_single_waypoint_horizon(self):
         cfg = SamplerConfig(k=5, horizon_steps=1, seed=4)
         state = KinematicState(Pose2(3.0, -2.0, 0.7), 6.0)
-        controls = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
-        got = integrate_controls(state, controls, cfg)
-        want = integrate_controls_reference(state, controls, cfg)
-        for g, w in zip(got, want):
-            assert g.poses.shape == (1, 3)
-            assert np.array_equal(g.poses, w.poses)
-            assert np.array_equal(g.speeds, w.speeds)
+        controls = _draw_control_arrays(cfg, range(1, cfg.k))[1:]
+        poses, speeds = _rollout(state, *controls, cfg)
+        want_poses, want_speeds = integrate_controls_reference(state, *controls, cfg)
+        assert poses.shape == (cfg.k - 1, 1, 3)
+        assert np.array_equal(poses, want_poses)
+        assert np.array_equal(speeds, want_speeds)
 
 
 class TestDrawControlsMatchesReference:
@@ -162,22 +163,23 @@ class TestDrawControlsMatchesReference:
                                     accel_range=(-4.0, 3.0),
                                     curvature_range=(-0.2, 0.25),
                                     spiral_rate_range=(-0.1, 0.05))
-                for idx in range(1, cfg.k):
-                    got = draw_controls(cfg, idx)
-                    assert got == draw_controls_reference(cfg, idx)
-                    assert type(got.mode) is int and type(got.accel) is float
-                    modes.add(got.mode)
+                mode, accel, curvature, rate = _draw_control_arrays(cfg, range(1, cfg.k))
+                assert mode.dtype.kind == "i" and accel.dtype == np.float64
+                for n, idx in enumerate(range(1, cfg.k)):
+                    assert (mode[n], accel[n], curvature[n], rate[n]) == \
+                        draw_controls_reference(cfg, idx)
+                modes.update(mode.tolist())
         assert modes == {MODE_LINE, MODE_CIRCLE, MODE_SPIRAL}
 
     def test_batch_draw_does_not_depend_on_k(self):
         cfg = SamplerConfig(k=19, seed=2 ** 33 + 5)
-        singles = [draw_controls(cfg, idx) for idx in range(1, cfg.k)]
+        singles = [tuple(x[0] for x in _draw_control_arrays(cfg, [idx]))
+                   for idx in range(1, cfg.k)]
         for k in (2, 3, 11, 19):
             mode, accel, curvature, rate = _draw_control_arrays(cfg, range(1, k))
             assert len(mode) == k - 1
             for n, c in enumerate(singles[:k - 1]):
-                assert (mode[n], accel[n], curvature[n], rate[n]) == (
-                    c.mode, c.accel, c.curvature, c.curvature_rate)
+                assert (mode[n], accel[n], curvature[n], rate[n]) == c
 
 
 class TestTrajectoryValidation:
@@ -222,47 +224,137 @@ class TestModeFrequencies:
         cfg = SamplerConfig(seed=123)
         n = 100_000
         counts = {MODE_LINE: 0, MODE_CIRCLE: 0, MODE_SPIRAL: 0}
-        for idx in range(1, n + 1):
-            counts[draw_controls(cfg, idx).mode] += 1
+        for mode in _draw_control_arrays(cfg, range(1, n + 1))[0].tolist():
+            counts[mode] += 1
         for mode, p in zip((MODE_LINE, MODE_CIRCLE, MODE_SPIRAL), cfg.mode_probs):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[mode] - n * p) < 3 * sigma
 
 
+class TestCandidateSetValidation:
+    def make(self, poses=None, speeds=None, dt=0.5):
+        poses = np.zeros((3, 4, 3)) if poses is None else poses
+        speeds = np.ones((3, 4)) if speeds is None else speeds
+        return CandidateSet(start_time=0.0, dt=dt, poses=poses, speeds=speeds)
+
+    def test_valid(self):
+        assert len(self.make()) == 3
+
+    def test_bad_poses_shape(self):
+        for poses in (np.zeros((3, 4, 2)), np.zeros((4, 3)), np.zeros((0, 4, 3))):
+            with pytest.raises(ValueError, match="poses must be a"):
+                self.make(poses=poses, speeds=np.ones(poses.shape[:-1]))
+
+    def test_bad_speeds_shape(self):
+        for speeds in (np.ones((3, 3)), np.ones(4), np.ones((2, 4))):
+            with pytest.raises(ValueError, match="speeds must be a"):
+                self.make(speeds=speeds)
+
+    def test_non_finite_pose(self):
+        poses = np.zeros((3, 4, 3))
+        poses[1, 2, 1] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            self.make(poses=poses)
+
+    def test_nan_speed(self):
+        speeds = np.ones((3, 4))
+        speeds[2, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            self.make(speeds=speeds)
+
+    def test_negative_speed(self):
+        speeds = np.ones((3, 4))
+        speeds[0, 3] = -1e-9
+        with pytest.raises(ValueError, match="non-negative"):
+            self.make(speeds=speeds)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5])
+    def test_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            self.make(dt=dt)
+
+
+class TestCandidateSetViews:
+    # What perfbench reads from candidate sets: its tracer counts
+    # len(sample_candidates(...)) as K candidates, and its replan checks
+    # iterate each set for per-candidate positions, headings and speeds.
+    def test_length_is_k(self):
+        state = KinematicState(Pose2(1.0, -2.0, 0.7), speed=6.0)
+        for k in (1, 2, 16):
+            cfg = SamplerConfig(k=k, horizon_steps=5, seed=3)
+            cands = sample_candidates(state, cfg, start_time=2.0)
+            assert len(cands) == k
+            assert cands.poses.shape == (k, 5, 3) and cands.speeds.shape == (k, 5)
+
+    def test_iteration_yields_the_rows(self):
+        state = KinematicState(Pose2(1.0, -2.0, 0.7), speed=6.0)
+        cands = sample_candidates(state, SamplerConfig(k=9, seed=5), start_time=2.0)
+        rows = list(cands)
+        assert len(rows) == 9
+        for a, traj in enumerate(rows):
+            assert isinstance(traj, Trajectory)
+            assert (traj.start_time, traj.dt) == (cands.start_time, cands.dt)
+            assert np.array_equal(traj.positions, cands.positions[a])
+            assert np.array_equal(traj.headings, cands.headings[a])
+            assert np.array_equal(traj.speeds, cands.speeds[a])
+            assert np.array_equal(cands[a].poses, cands.poses[a])
+
+    def test_candidate_zero_is_stationary(self):
+        state = KinematicState(Pose2(1.0, -2.0, 0.7), speed=6.0)
+        cands = sample_candidates(state, SamplerConfig(k=4, seed=5))
+        pose = state.pose
+        np.testing.assert_array_equal(cands.poses[0],
+                                      np.tile([pose.x, pose.y, pose.heading], (8, 1)))
+        np.testing.assert_array_equal(cands.speeds[0], np.zeros(8))
+
+
 class TestClosestCandidate:
     def test_exact_membership(self):
-        cands = [straight_trajectory((0, i), 0.0, 3.0) for i in range(5)]
-        assert closest_candidate(cands, cands[3]) == 3
+        cands = candidate_set([straight_trajectory((0, i), 0.0, 3.0) for i in range(5)])
+        assert nearest_candidates(cands, cands[3])[0, 0] == 3
 
     def test_tie_breaks_to_lower_index(self):
-        cands = [straight_trajectory((0, 1), 0.0, 3.0),
-                 straight_trajectory((0, -1), 0.0, 3.0)]
+        cands = candidate_set([straight_trajectory((0, 1), 0.0, 3.0),
+                               straight_trajectory((0, -1), 0.0, 3.0)])
         target = straight_trajectory((0, 0), 0.0, 3.0)
-        assert closest_candidate(cands, target) == 0
+        assert nearest_candidates(cands, target)[0, 0] == 0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            cands = [straight_trajectory(rng.uniform(-5, 5, 2),
+            trajs = [straight_trajectory(rng.uniform(-5, 5, 2),
                                          rng.uniform(-3, 3), rng.uniform(0, 8))
                      for _ in range(7)]
             target = straight_trajectory(rng.uniform(-5, 5, 2),
                                          rng.uniform(-3, 3), rng.uniform(0, 8))
             expected = min(range(7), key=lambda i: float(
-                np.sum((cands[i].positions - target.positions) ** 2)))
-            assert closest_candidate(cands, target) == expected
+                np.sum((trajs[i].positions - target.positions) ** 2)))
+            assert nearest_candidates(candidate_set(trajs), target)[0, 0] == expected
+
+    def test_trajectory_target_equals_one_row_set_target(self):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            cands = candidate_set([straight_trajectory((0.0, float(y)), 0.0, float(v))
+                                   for y, v in zip(rng.integers(-2, 3, size=6),
+                                                   rng.integers(0, 3, size=6))])
+            target = straight_trajectory(rng.integers(-2, 3, size=2), 0.0, 1.0)
+            one = nearest_candidates(cands, target)
+            assert one.shape == (1, 6)
+            assert np.array_equal(one, nearest_candidates(cands, candidate_set([target])))
 
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatch):
-            closest_candidate([straight_trajectory((0, 0), 0, 1, steps=8)],
-                              straight_trajectory((0, 0), 0, 1, steps=6))
+            nearest_candidates(candidate_set([straight_trajectory((0, 0), 0, 1, steps=8)]),
+                               straight_trajectory((0, 0), 0, 1, steps=6))
         with pytest.raises(HorizonMismatch):
-            closest_candidate([straight_trajectory((0, 0), 0, 1, steps=8, dt=0.5)],
-                              straight_trajectory((0, 0), 0, 1, steps=8, dt=0.4))
+            nearest_candidates(
+                candidate_set([straight_trajectory((0, 0), 0, 1, steps=8, dt=0.5)]),
+                straight_trajectory((0, 0), 0, 1, steps=8, dt=0.4))
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
-            closest_candidate([], straight_trajectory((0, 0), 0, 1))
+            CandidateSet(start_time=0.0, dt=0.5, poses=np.zeros((0, 8, 3)),
+                         speeds=np.zeros((0, 8)))
 
 
 class TestNearestCandidates:
@@ -274,7 +366,7 @@ class TestNearestCandidates:
             cands = [straight_trajectory((0.0, float(y)), 0.0, float(v))
                      for y, v in zip(rng.integers(-2, 3, size=k), rng.integers(0, 3, size=k))]
             targets = cands + [straight_trajectory(rng.uniform(-2, 2, 2), 0.1, 1.0)]
-            got = nearest_candidates(cands, targets)
+            got = nearest_candidates(candidate_set(cands), candidate_set(targets))
             for row, target in zip(got, targets):
                 want = sorted(range(k), key=lambda i: (trajectory_l2(cands[i], target), i))
                 assert row.tolist() == want

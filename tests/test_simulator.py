@@ -414,8 +414,8 @@ class TestRunSuite:
         suite = run_suite([template], 1, cfg.planner_config(), cfg.energy,
                           cfg.sampler, cfg.sim, seed=31)
         assert len(suite.episodes) == 1
-        from reactplan.simulator import _derived_seed
-        episode_seed = _derived_seed((31, 0, 0, 1))
+        from reactplan.sampler import derived_seed
+        episode_seed = derived_seed(31, 0, 0, 1)
         direct = step_episode(template, cfg.planner_config(), cfg.energy,
                               cfg.sampler, cfg.sim, seed=episode_seed)
         assert suite.episodes[0][2].trace == direct.trace
