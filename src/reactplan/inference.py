@@ -9,6 +9,13 @@ The same engine optionally propagates forward-mode tangents of the node
 potentials, which is how training differentiates through the fixed number of
 iterations. An exact enumeration oracle covers small instances.
 
+Layout: each pass stores the active edges' potentials once as a contiguous
+(K, E, K) array indexed (a, e, b), so the logsumexp over the sender's
+candidate a reduces over the leading axis and walks contiguous rows. The
+sum still adds the rows a = 0..K-1 one after another, as a reduction over
+the middle axis of an (E, K, K) array does, so every message is
+bit-identical to that layout's.
+
 Conventions: node potential of actor i is exp(-unary[i]); the edge factor of
 the unordered pair {i, j} combines both stored directions,
 exp(-(pairwise[i, j, a, b] + pairwise[j, i, b, a])), matching the ordered
@@ -39,7 +46,7 @@ class LbpConfig:
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
-        if self.tol <= 0 or self.max_iters < 1:
+        if not self.tol > 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters >= 1")
 
     def to_dict(self) -> dict:
@@ -78,8 +85,8 @@ class MarginalSet:
 
 
 def _lse(x, axis=-1, keepdims=False):
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    m = x.max(axis=axis, keepdims=True)
+    out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -135,9 +142,17 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     away, so dropping it changes no belief beyond rounding; the pairwise
     belief of such a pair is the product of its two node marginals.
 
+    The edge potentials are stored once per call as a contiguous (K, E, K)
+    array (a, e, b), and each update reduces over its leading axis. The rows
+    a = 0..K-1 are summed in the same order as over the middle axis of an
+    (E, K, K) array, so every message, belief and residual is bit-identical
+    to that layout's; only the memory walk changes.
+
     With ``node_dot`` of shape (P, M, K), tangents of the log beliefs with
     respect to P scalar directions are propagated through every update; this
-    requires ``fixed_iterations`` so the unrolled map has a fixed depth.
+    requires ``fixed_iterations`` so the unrolled map has a fixed depth. The
+    softmax weights of the tangent update are copied back to (E, K, K), so
+    its einsums keep their summation order.
     """
     m_nodes, k = log_node.shape
     want_dot = node_dot is not None
@@ -147,10 +162,12 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     src, dst, rev = _edge_list(log_edge)
     n_edges = len(src)
     le = log_edge[src, dst]                                     # (E, K, K)
+    le_t = np.ascontiguousarray(le.transpose(1, 0, 2))          # (K, E, K)
     incidence = np.zeros((m_nodes, n_edges))                    # node <- edge
     incidence[dst, np.arange(n_edges)] = 1.0
 
     lm = np.full((n_edges, k), -math.log(k))
+    exp_lm = np.exp(lm)
     dlm = np.zeros((node_dot.shape[0], n_edges, k)) if want_dot else None
 
     log_d = math.log(cfg.damping) if cfg.damping > 0 else -np.inf
@@ -163,12 +180,12 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
         iters_used += 1
         pre = log_node + incidence @ lm                         # (M, K)
         g = pre[src] - lm[rev]                                  # (E, K) over a
-        x = g[:, :, None] + le                                  # (E, K, K)
-        new = _lse(x, axis=1)                                   # (E, K) over b
-        new = new - _lse(new, axis=1, keepdims=True)
+        x = g.T[:, :, None] + le_t                              # (K, E, K)
+        raw = _lse(x, axis=0)                                   # (E, K) over b
+        new = raw - _lse(raw, axis=1, keepdims=True)
 
         if want_dot:
-            w = _softmax(x, axis=1)
+            w = np.exp(x - raw).transpose(1, 0, 2).copy()       # (E, K, K)
             dpre = node_dot + incidence @ dlm                   # (P, M, K)
             dg = dpre[:, src] - dlm[:, rev]
             dnew = np.einsum("eab,pea->peb", w, dg)
@@ -192,9 +209,10 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
             mixed = new
             dmixed = dnew if want_dot else None
 
-        residual = float(np.max(np.abs(np.exp(mixed) - np.exp(lm)))) if n_edges else 0.0
+        exp_mixed = np.exp(mixed)
+        residual = float(np.abs(exp_mixed - exp_lm).max()) if n_edges else 0.0
         residuals.append(residual)
-        lm = mixed
+        lm, exp_lm = mixed, exp_mixed
         if want_dot:
             dlm = dmixed
         if not cfg.fixed_iterations and residual < cfg.tol:

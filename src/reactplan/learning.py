@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.k_ignore < 0:
             raise ValueError(f"k_ignore must be >= 0, got {self.k_ignore}")
+        if math.isnan(self.divergence_threshold):
+            raise ValueError("divergence_threshold must not be NaN")
 
 
 def label_and_ignore(candidates: list[CandidateSet],

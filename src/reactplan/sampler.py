@@ -8,6 +8,7 @@ candidates travel together as one ``CandidateSet`` of (K, T) arrays.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -167,13 +168,16 @@ class SamplerConfig:
 
     def __post_init__(self):
         probs = np.asarray(self.mode_probs, dtype=float)
-        if probs.shape != (3,) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if (probs.shape != (3,) or not np.all(probs >= 0)
+                or not abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("mode_probs must be 3 non-negative values summing to 1")
         for lo, hi in (self.accel_range, self.curvature_range, self.spiral_rate_range):
-            if hi < lo:
+            if not lo <= hi:
                 raise ValueError("parameter ranges must be non-empty intervals")
-        if self.k < 1 or self.horizon_steps < 1 or self.dt <= 0:
-            raise ValueError("k, horizon_steps must be >= 1 and dt > 0")
+        if self.k < 1 or self.horizon_steps < 1 or not 0 < self.dt < math.inf:
+            raise ValueError("k, horizon_steps must be >= 1 and dt finite and > 0")
+        if not self.v_max >= 0:
+            raise ValueError(f"v_max must be non-negative, got {self.v_max}")
 
     def to_dict(self) -> dict:
         return {

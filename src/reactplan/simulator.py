@@ -242,6 +242,7 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
                     "goal": float(result.goal[result.chosen]),
                 },
                 "converged": result.converged,
+                "iters_used": result.iters_used,
             }
 
         # decisions from the common snapshot, then simultaneous motion

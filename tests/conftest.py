@@ -9,7 +9,7 @@ from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 point_to_box_distance, point_to_box_distance_grid,
                                 wrap_angle)
 from reactplan.errors import HorizonMismatch
-from reactplan.inference import _lse, _softmax, lbp
+from reactplan.inference import _edge_list, _lse, _softmax, lbp
 from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
                                MODE_SPIRAL, CandidateSet, KinematicState,
@@ -256,6 +256,87 @@ def dense_lbp_pass(log_node, log_edge, cfg, node_dot=None):
         corr = np.einsum("ijc,pijc->pij", wpb,
                          d_lpb.reshape(d_lpb.shape[0], m_nodes, m_nodes, -1))
         d_lpb = d_lpb - corr[:, :, :, None, None]
+        d_lpb[:, idx, idx] = 0.0
+    return log_marg, lpb, converged, iters_used, residuals, d_log_marg, d_lpb
+
+
+def edge_lbp_reference(log_node, log_edge, cfg, node_dot=None):
+    """Reference message passing over the active edges in the (E, K, K)
+    layout: each update reduces the middle axis of ``g[:, :, None] + le``.
+
+    ``inference.lbp_pass`` must equal it bit for bit. Returns the same tuple
+    as ``dense_lbp_pass``.
+    """
+    m_nodes, k = log_node.shape
+    want_dot = node_dot is not None
+    src, dst, rev = _edge_list(log_edge)
+    n_edges = len(src)
+    le = log_edge[src, dst]
+    incidence = np.zeros((m_nodes, n_edges))
+    incidence[dst, np.arange(n_edges)] = 1.0
+    lm = np.full((n_edges, k), -math.log(k))
+    dlm = np.zeros((node_dot.shape[0], n_edges, k)) if want_dot else None
+    log_d = math.log(cfg.damping) if cfg.damping > 0 else -np.inf
+    log_1md = math.log1p(-cfg.damping)
+    residuals = []
+    converged = False
+    iters_used = 0
+    for _ in range(cfg.max_iters):
+        iters_used += 1
+        pre = log_node + incidence @ lm
+        g = pre[src] - lm[rev]
+        x = g[:, :, None] + le
+        new = _lse(x, axis=1)
+        new = new - _lse(new, axis=1, keepdims=True)
+        if want_dot:
+            w = _softmax(x, axis=1)
+            dpre = node_dot + incidence @ dlm
+            dg = dpre[:, src] - dlm[:, rev]
+            dnew = np.einsum("eab,pea->peb", w, dg)
+            dnew = dnew - np.einsum("eb,peb->pe", _softmax(new, axis=1), dnew)[..., None]
+        if cfg.damping > 0:
+            u = log_d + lm
+            v = log_1md + new
+            mixed = np.logaddexp(u, v)
+            if want_dot:
+                dmixed = np.exp(u - mixed)[None] * dlm + np.exp(v - mixed)[None] * dnew
+            mixed = mixed - _lse(mixed, axis=1, keepdims=True)
+            if want_dot:
+                dmixed = dmixed - np.einsum(
+                    "eb,peb->pe", _softmax(mixed, axis=1), dmixed)[..., None]
+        else:
+            mixed = new
+            dmixed = dnew if want_dot else None
+        residuals.append(float(np.max(np.abs(np.exp(mixed) - np.exp(lm))))
+                         if n_edges else 0.0)
+        lm = mixed
+        if want_dot:
+            dlm = dmixed
+        if not cfg.fixed_iterations and residuals[-1] < cfg.tol:
+            converged = True
+            break
+    else:
+        converged = residuals[-1] < cfg.tol
+
+    pre = log_node + incidence @ lm
+    log_marg = pre - _lse(pre, axis=1, keepdims=True)
+    g = pre[src] - lm[rev]
+    edge_pb = g[:, :, None] + g[rev][:, None, :] + le
+    edge_pb = edge_pb - _lse(edge_pb.reshape(n_edges, k * k), axis=1)[:, None, None]
+    lpb = log_marg[:, None, :, None] + log_marg[None, :, None, :]
+    lpb[src, dst] = edge_pb
+    idx = np.arange(m_nodes)
+    lpb[idx, idx] = 0.0
+    d_log_marg = d_lpb = None
+    if want_dot:
+        dpre = node_dot + incidence @ dlm
+        d_log_marg = dpre - np.einsum("ia,pia->pi", _softmax(pre, axis=1), dpre)[..., None]
+        dg = dpre[:, src] - dlm[:, rev]
+        d_edge = dg[:, :, :, None] + dg[:, rev][:, :, None, :]
+        wpb = _softmax(edge_pb.reshape(n_edges, k * k), axis=1)
+        corr = np.einsum("ec,pec->pe", wpb, d_edge.reshape(d_edge.shape[:2] + (k * k,)))
+        d_lpb = d_log_marg[:, :, None, :, None] + d_log_marg[:, None, :, None, :]
+        d_lpb[:, src, dst] = d_edge - corr[:, :, None, None]
         d_lpb[:, idx, idx] = 0.0
     return log_marg, lpb, converged, iters_used, residuals, d_log_marg, d_lpb
 

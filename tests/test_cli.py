@@ -147,6 +147,22 @@ class TestCmdPlan:
         assert code == 2
         assert "malformed config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("lbp", "tol", float("nan")), ("sampler", "dt", float("nan")),
+        ("sampler", "v_max", -1.0), ("sampler", "v_max", float("nan"))])
+    def test_invalid_config_value_exits_2(self, tmp_path, scenario_file, capsys,
+                                          section, key, value):
+        cfg = RunConfig().to_dict()
+        cfg[section][key] = value
+        bad = tmp_path / "bad_config.json"
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"),
+                     "plan", str(scenario_file)])
+        assert code == 2
+        assert "malformed config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCmdTrain:
     def _dataset(self, tmp_path, n=4):
@@ -202,7 +218,8 @@ class TestCmdTrain:
 
     @pytest.mark.parametrize("option", [["--epochs", "0"], ["--k-ignore", "-3"],
                                         ["--lr", "nan"], ["--lr", "-0.5"],
-                                        ["--lr", "inf"]])
+                                        ["--lr", "inf"],
+                                        ["--divergence-threshold", "nan"]])
     def test_bad_training_option_exits_2(self, tmp_path, small_config, capsys, option):
         data = self._dataset(tmp_path)
         code = main(["--config", str(small_config), "--out", str(tmp_path / "out"),
@@ -238,6 +255,10 @@ class TestCmdSimulate:
                 records = [json.loads(line) for line in fh]
             assert any("outcome" in rec for rec in records)
             assert any("step" in rec for rec in records)
+            plans = [rec["step"]["plan"] for rec in records
+                     if "plan" in rec.get("step", {})]
+            assert plans and all(type(p["iters_used"]) is int and p["iters_used"] >= 1
+                                 for p in plans)
 
     def test_seed_replay_identical_files(self, tmp_path, small_config):
         tdir = self._template_dir(tmp_path)

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (dense_lbp_pass, joint_distribution, max_node_tv,
-                      random_tables, tree_tables, tv_distance)
+from conftest import (dense_lbp_pass, edge_lbp_reference, joint_distribution,
+                      max_node_tv, random_tables, tree_tables, tv_distance)
 from reactplan.energy import EnergyTables
 from reactplan.errors import (DegenerateCondition, EmptyConditioningSet,
                               StateSpaceTooLarge)
@@ -69,6 +69,13 @@ class TestLbpBasics:
         ms = lbp(tables, LbpConfig(max_iters=17, fixed_iterations=True))
         assert ms.iters_used == 17
         assert len(ms.residuals) == 17
+
+    @pytest.mark.parametrize("option", [{"tol": float("nan")}, {"tol": 0.0},
+                                        {"damping": float("nan")}, {"max_iters": 0}])
+    def test_config_rejects_bad_options(self, option):
+        # residual < nan never holds, so a NaN tol could never converge
+        with pytest.raises(ValueError):
+            LbpConfig(**option)
 
 
 class TestTreeExactness:
@@ -378,3 +385,45 @@ class TestEdgeListMatchesDenseOracle:
         assert res.iters_used == iters == cfg.max_iters
         assert res.converged == conv
         assert len(res.residuals) == len(resid)
+
+
+def assert_engine_equal(res, want, tangents=False):
+    lm, lpb, conv, iters, resid, dlm, dlpb = want
+    assert np.array_equal(res.log_marginals, lm)
+    assert np.array_equal(res.log_pairwise, lpb)
+    assert (res.converged, res.iters_used, res.residuals) == (conv, iters, resid)
+    if tangents:
+        assert np.array_equal(res.d_log_marginals, dlm)
+        assert np.array_equal(res.d_log_pairwise, dlpb)
+
+
+# (nodes, candidates, share of zero blocks): K of 1, 12 and 16, a single
+# node (M = 1), no active edges (E = 0) and sparse graphs
+EXACT_CASES = [(5, 1, 0.0), (6, 12, 0.0), (9, 16, 0.6), (1, 16, 0.0),
+               (4, 12, 1.0), (3, 5, 0.3)]
+
+
+class TestCandidateAxisLayoutIsExact:
+    """``lbp_pass`` reduces over the leading axis of a (K, E, K) array; the
+    (E, K, K) edge-list loop must give the same bits."""
+
+    @pytest.mark.parametrize("m,k,zero_frac", EXACT_CASES)
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_plain_mode(self, m, k, zero_frac, damping):
+        rng = np.random.default_rng(300 + 10 * m + k)
+        for coupling, max_iters in ((0.3, 50), (2.0, 9)):
+            cfg = LbpConfig(max_iters=max_iters, damping=damping)
+            log_node, log_edge = sparse_potentials(rng, m, k, zero_frac, coupling)
+            assert_engine_equal(lbp_pass(log_node, log_edge, cfg),
+                                edge_lbp_reference(log_node, log_edge, cfg))
+
+    @pytest.mark.parametrize("m,k,zero_frac", EXACT_CASES)
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_tangent_mode(self, m, k, zero_frac, damping):
+        rng = np.random.default_rng(400 + 10 * m + k)
+        cfg = LbpConfig(max_iters=8, damping=damping, fixed_iterations=True)
+        log_node, log_edge = sparse_potentials(rng, m, k, zero_frac)
+        node_dot = rng.normal(size=(3, m, k))
+        assert_engine_equal(lbp_pass(log_node, log_edge, cfg, node_dot=node_dot),
+                            edge_lbp_reference(log_node, log_edge, cfg, node_dot=node_dot),
+                            tangents=True)

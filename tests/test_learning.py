@@ -249,7 +249,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("option", [{"epochs": 0}, {"k_ignore": -3},
                                         {"lr": -0.1}, {"lr": math.nan},
-                                        {"lr": math.inf}])
+                                        {"lr": math.inf},
+                                        {"divergence_threshold": math.nan}])
     def test_config_rejects_bad_options(self, option):
         with pytest.raises(ValueError):
             TrainConfig(**option)

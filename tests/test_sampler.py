@@ -219,6 +219,22 @@ class TestTrajectoryValidation:
             self.make(dt=dt)
 
 
+class TestSamplerConfigValidation:
+    @pytest.mark.parametrize("option", [
+        {"dt": math.nan}, {"dt": math.inf}, {"dt": 0.0}, {"v_max": -1.0},
+        {"v_max": math.nan}, {"k": 0}, {"mode_probs": (math.nan, 0.5, 0.5)},
+        {"mode_probs": (0.5, 0.5, 0.5)}, {"accel_range": (1.0, -1.0)},
+        {"curvature_range": (math.nan, 0.2)}])
+    def test_rejects_bad_options(self, option):
+        with pytest.raises(ValueError):
+            SamplerConfig(**option)
+
+    def test_zero_v_max_samples_standing_candidates(self):
+        state = KinematicState(Pose2(0.0, 0.0, 0.0), 3.0)
+        cands = sample_candidates(state, SamplerConfig(k=4, v_max=0.0))
+        assert np.all(cands.speeds == 0.0)
+
+
 class TestModeFrequencies:
     def test_matches_configured_probabilities_within_3_sigma(self):
         cfg = SamplerConfig(seed=123)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import actor_policy_step_reference
+from reactplan import simulator
 from reactplan.config import RunConfig
 from reactplan.energy import BoxDims
 from reactplan.errors import InfeasiblePerturbation, InvalidScenario
@@ -315,6 +316,23 @@ class TestStepEpisode:
                          cfg.sampler, cfg.sim, seed=7)
         assert a.trace == b.trace
         assert a.summary() == b.summary()
+
+    def test_plan_records_carry_iters_used(self, monkeypatch):
+        results = []
+        real_plan = simulator.plan
+
+        def recording_plan(*args):
+            results.append(real_plan(*args))
+            return results[-1]
+
+        cfg = RunConfig()
+        monkeypatch.setattr(simulator, "plan", recording_plan)
+        ep = step_episode(builtin_templates()["merge_dense"], cfg.planner_config(),
+                          cfg.energy, cfg.sampler, cfg.sim, seed=7)
+        records = [rec["plan"] for rec in ep.trace if "plan" in rec]
+        assert len(records) == len(results) > 1
+        assert [(r["chosen"], r["converged"], r["iters_used"]) for r in records] == \
+            [(res.chosen, res.converged, res.iters_used) for res in results]
 
     def test_actor_contact_recorded_but_not_terminal(self):
         # two actors on crossing lanes with no hazard reaction distance
