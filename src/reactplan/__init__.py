@@ -1,8 +1,7 @@
 """Joint energy-based prediction and planning over discrete trajectory candidates."""
 
 from .energy import BoxDims, EnergyParams, EnergyTables, build_tables
-from .geometry import (OrientedBox, Polyline, Pose2, boxes_overlap,
-                       point_to_box_distance)
+from .geometry import OrientedBox, Polyline, Pose2, boxes_overlap
 from .inference import (LbpConfig, MarginalSet, conditional_marginals,
                         exact_marginals, lbp, set_conditional_marginals)
 from .learning import (LossReport, TrainConfig, TrainingExample, gradient,

@@ -202,7 +202,9 @@ def cmd_simulate(args) -> int:
     variants = [v.strip() for v in args.planners.split(",") if v.strip()]
     if not variants:
         raise CliError("no planner variants given")
-    n_variants = args.variants if args.variants else cfg.n_variants
+    if args.variants is not None and args.variants < 1:
+        raise CliError(f"--variants must be >= 1, got {args.variants}")
+    n_variants = args.variants if args.variants is not None else cfg.n_variants
     out = _out_dir(args)
 
     rows = []

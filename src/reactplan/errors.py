@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check for count fields."""
+import numbers
+
+
+def check_counts(**counts) -> None:
+    """Raise ValueError unless every keyword's value is an integer >= 1."""
+    for name, value in counts.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class ReactplanError(Exception):

@@ -106,7 +106,7 @@ class Polyline:
         p = np.atleast_2d(np.asarray(points, dtype=float))
         rel = p[:, None, :] - self._starts[None, :, :]          # (n, m, 2)
         t = np.einsum("nmd,md->nm", rel, self._dirs) / (self._seg_len ** 2)
-        t = np.clip(t, 0.0, 1.0)
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
         foot = self._starts[None, :, :] + t[:, :, None] * self._dirs[None, :, :]
         diff = p[:, None, :] - foot
         d2 = np.einsum("nmd,nmd->nm", diff, diff)
@@ -120,15 +120,15 @@ class Polyline:
         dist, arclen = self.project_many(np.asarray(point, dtype=float)[None, :])
         return float(dist[0]), float(arclen[0])
 
-    def _segment_index(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
+    def _segment_index(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Arclengths clamped to [0, length] and the segment holding each."""
+        s = np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), self.length)
         idx = np.searchsorted(self._cum, s, side="right") - 1
-        return np.clip(idx, 0, len(self._seg_len) - 1)
+        return s, np.minimum(idx, len(self._seg_len) - 1)
 
     def point_at(self, s):
         """Point at arclength s, clamped to [0, length]."""
-        s_arr = np.clip(np.asarray(s, dtype=float), 0.0, self.length)
-        idx = self._segment_index(s_arr)
+        s_arr, idx = self._segment_index(s)
         frac = (s_arr - self._cum[idx]) / self._seg_len[idx]
         out = self._starts[idx] + frac[..., None] * self._dirs[idx]
         if np.ndim(s) == 0:
@@ -137,7 +137,7 @@ class Polyline:
 
     def tangent_at(self, s):
         """Heading of the segment containing arclength s."""
-        idx = self._segment_index(np.clip(np.asarray(s, dtype=float), 0.0, self.length))
+        _, idx = self._segment_index(s)
         out = self._headings[idx]
         if np.ndim(s) == 0:
             return float(out)
@@ -193,19 +193,10 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return bool(np.all(gaps >= 0.0))
 
 
-def box_arrays(boxes):
-    """Centres (n, 2), headings (n,) and half extents ((n,), (n,)) of a
-    sequence of OrientedBox, for the grid kernels."""
-    centers = np.array([[b.center.x, b.center.y] for b in boxes]).reshape(-1, 2)
-    headings = np.array([b.center.heading for b in boxes])
-    dims = (np.array([b.half_length for b in boxes]),
-            np.array([b.half_width for b in boxes]))
-    return centers, headings, dims
-
-
-def overlap_matrix(boxes) -> np.ndarray:
-    """(n, n) grid whose entry [i, j] is ``boxes_overlap(boxes[i], boxes[j])``."""
-    centers, headings, (hl, hw) = box_arrays(boxes)
+def overlap_matrix(poses: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """(n, n) grid: does box i overlap box j, as ``boxes_overlap`` decides, for
+    centre poses ``poses`` (n, 3) and half extents ``dims`` (n, 2)."""
+    centers, headings, (hl, hw) = poses[:, :2], poses[:, 2], dims.T
     return boxes_overlap_grid(centers[:, None], headings[:, None],
                               (hl[:, None], hw[:, None]),
                               centers[None], headings[None], (hl[None], hw[None]))
@@ -223,10 +214,3 @@ def point_to_box_distance_grid(points, centers, headings, dims) -> np.ndarray:
     dx = np.maximum(np.abs(local_x) - dims[0], 0.0)
     dy = np.maximum(np.abs(local_y) - dims[1], 0.0)
     return np.hypot(dx, dy)
-
-
-def point_to_box_distance(point, box: OrientedBox) -> float:
-    """Euclidean distance to the box boundary; 0 for interior points."""
-    return float(point_to_box_distance_grid(
-        np.asarray(point, dtype=float), box.center.position, box.center.heading,
-        (box.half_length, box.half_width)))

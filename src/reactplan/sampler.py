@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonMismatch, InsufficientHistory
+from .errors import HorizonMismatch, InsufficientHistory, check_counts
 from .geometry import Pose2, wrap_angle
 
 INTEGRATION_SUBSTEPS = 10
@@ -75,8 +75,8 @@ class Trajectory:
     def duration(self) -> float:
         return (len(self) - 1) * self.dt
 
-    def state_at(self, tau: float) -> tuple[Pose2, float]:
-        """Interpolated pose and speed at time offset tau from start_time.
+    def state_at(self, tau: float) -> tuple[np.ndarray, float]:
+        """Interpolated pose array (x, y, heading) and speed at offset tau.
 
         Clamped to the trajectory extent; heading interpolation is wrap-aware.
         """
@@ -84,14 +84,14 @@ class Trajectory:
         idx = min(int(tau / self.dt), len(self) - 1)
         if idx >= len(self) - 1:
             p = self.poses[-1]
-            return Pose2(p[0], p[1], p[2]), float(self.speeds[-1])
+            return np.array([p[0], p[1], wrap_angle(p[2])]), float(self.speeds[-1])
         frac = tau / self.dt - idx
         a, b = self.poses[idx], self.poses[idx + 1]
         x = a[0] + frac * (b[0] - a[0])
         y = a[1] + frac * (b[1] - a[1])
         heading = wrap_angle(a[2] + frac * wrap_angle(b[2] - a[2]))
         speed = self.speeds[idx] + frac * (self.speeds[idx + 1] - self.speeds[idx])
-        return Pose2(x, y, heading), float(speed)
+        return np.array([x, y, heading]), float(speed)
 
     def to_dict(self) -> dict:
         return {
@@ -174,8 +174,9 @@ class SamplerConfig:
         for lo, hi in (self.accel_range, self.curvature_range, self.spiral_rate_range):
             if not lo <= hi:
                 raise ValueError("parameter ranges must be non-empty intervals")
-        if self.k < 1 or self.horizon_steps < 1 or not 0 < self.dt < math.inf:
-            raise ValueError("k, horizon_steps must be >= 1 and dt finite and > 0")
+        check_counts(k=self.k, horizon_steps=self.horizon_steps)
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         if not self.v_max >= 0:
             raise ValueError(f"v_max must be non-negative, got {self.v_max}")
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .energy import BoxDims
 from .errors import InvalidScenario
-from .geometry import OrientedBox, Polyline, Pose2, overlap_matrix
+from .geometry import Polyline, Pose2, overlap_matrix, wrap_angle
 # Not called here: perfbench's tracer counts scalar overlap calls made through
 # this module's ``boxes_overlap`` name, so the name must stay resolvable.
 from .geometry import boxes_overlap  # noqa: F401
@@ -82,9 +82,36 @@ class EgoSpec:
     ref_speed: float
 
 
-def vehicle_box(pose: Pose2, dims: BoxDims) -> OrientedBox:
-    return OrientedBox(center=pose, half_length=dims.half_length,
-                       half_width=dims.half_width)
+@dataclass(frozen=True)
+class Actors:
+    """Constants of m actors, packed once per episode. Actor i follows the
+    centerline ``lines[route[i]]`` of length ``lengths[i]``, each distinct
+    line held once; ``dims`` (m, 2) are half extents and ``follow`` (m, 5)
+    the CarFollowingParams fields."""
+
+    lines: tuple[Polyline, ...]
+    route: np.ndarray
+    lengths: np.ndarray
+    dims: np.ndarray
+    follow: np.ndarray
+
+    @classmethod
+    def pack(cls, lines, boxes, behaviors) -> "Actors":
+        slot: dict[Polyline, int] = {}
+        route = np.array([slot.setdefault(ln, len(slot)) for ln in lines], dtype=int)
+        return cls(tuple(slot), route, np.array([ln.length for ln in slot])[route],
+                   np.array(boxes, dtype=float).reshape(-1, 2),
+                   np.array([astuple(b) for b in behaviors], dtype=float).reshape(-1, 5))
+
+    def poses(self, s: np.ndarray) -> np.ndarray:
+        """Centerline poses (m, 3) at arclengths ``s`` (m,), clamped to each
+        route, headings normalized as in Pose2; one lookup per distinct line."""
+        out = np.empty((len(s), 3))
+        for j, line in enumerate(self.lines):
+            on = self.route == j
+            out[on, :2], out[on, 2] = line.point_at(s[on]), line.tangent_at(s[on])
+        out[:, 2] = wrap_angle(out[:, 2])
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,20 +147,25 @@ class Scenario:
             return np.asarray(target, dtype=float)
         return self.lanes[target].line
 
-    def initial_boxes(self) -> list[OrientedBox]:
-        """Footprints at t = 0 with actors snapped to their route centerline."""
-        out = [vehicle_box(self.ego.state.pose, self.ego.box)]
-        for actor in self.actors:
-            lane = self.lanes[actor.route].line
-            _, s = lane.project(actor.state.pose.position)
-            point = lane.point_at(s)
-            pose = Pose2(point[0], point[1], lane.tangent_at(s))
-            out.append(vehicle_box(pose, actor.box))
-        return out
+    def actor_start(self) -> tuple[Actors, np.ndarray, np.ndarray]:
+        """The actors packed, and their arclengths (m,) and poses (m, 3) at
+        t = 0, each snapped to the nearest point of its route centerline."""
+        actors = Actors.pack([self.lanes[a.route].line for a in self.actors],
+                             [a.box for a in self.actors],
+                             [a.behavior for a in self.actors])
+        xy = np.array([[a.state.pose.x, a.state.pose.y] for a in self.actors])
+        s = np.zeros(len(self.actors))
+        for j, line in enumerate(actors.lines):
+            s[actors.route == j] = line.project_many(xy[actors.route == j])[1]
+        return actors, s, actors.poses(s)
 
     def validate(self) -> None:
         """Raise InvalidScenario when any two vehicles overlap at t = 0."""
-        pairs = np.argwhere(np.triu(overlap_matrix(self.initial_boxes()), 1))
+        ego = self.ego.state.pose
+        actors, _, poses = self.actor_start()
+        hit = overlap_matrix(np.vstack([[ego.x, ego.y, ego.heading], poses]),
+                             np.vstack([self.ego.box, actors.dims]))
+        pairs = np.argwhere(np.triu(hit, 1))
         if len(pairs):
             i, j = pairs[0]
             raise InvalidScenario(

@@ -14,22 +14,21 @@ the trace.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import BoxDims, EnergyParams, build_tables
-from .errors import InfeasiblePerturbation, InvalidScenario
-from .geometry import (OrientedBox, Pose2, box_arrays, boxes_overlap_grid,
-                       overlap_matrix, point_to_box_distance_grid, wrap_angle)
+from .energy import EnergyParams, build_tables
+from .errors import InfeasiblePerturbation, InvalidScenario, check_counts
+from .geometry import (Pose2, boxes_overlap_grid, overlap_matrix,
+                       point_to_box_distance_grid, wrap_angle)
 # Not called here: perfbench's tracer counts scalar overlap calls made through
 # this module's ``boxes_overlap`` name, so the name must stay resolvable.
 from .geometry import boxes_overlap  # noqa: F401
 from .planner import PlannerConfig, plan
 from .sampler import KinematicState, SamplerConfig, derived_seed, sample_candidates
-from .scenarios import CarFollowingParams, Lane, Scenario, vehicle_box
+from .scenarios import Actors, Scenario
 
 OUTCOME_GOAL = "GoalReached"
 OUTCOME_TIMER = "TimerExpired"
@@ -45,6 +44,9 @@ class SimConfig:
     goal_radius: float = 2.0
     hold_steps: int = 10       # consecutive in-lane steps for a lane goal
 
+    def __post_init__(self):
+        check_counts(replan_steps=self.replan_steps, hold_steps=self.hold_steps)
+
     def to_dict(self) -> dict:
         return {"replan_steps": self.replan_steps,
                 "goal_radius": self.goal_radius, "hold_steps": self.hold_steps}
@@ -52,13 +54,6 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         return cls(**data)
-
-
-@dataclass
-class ActorState:
-    arclength: float
-    speed: float
-    pose: Pose2
 
 
 @dataclass
@@ -103,71 +98,54 @@ def aggregate(episodes: list[EpisodeResult]) -> dict:
     }
 
 
-def _lane_pose(lane: Lane, s: float) -> Pose2:
-    point = lane.line.point_at(s)
-    return Pose2(point[0], point[1], lane.line.tangent_at(s))
-
-
-def actor_policy_step(states: list[ActorState], lanes: list[Lane],
-                      own_boxes: list[BoxDims], params: list[CarFollowingParams],
-                      shared_hazards: list[OrientedBox],
-                      dt: float) -> tuple[list[ActorState], list[float]]:
+def actor_policy_step(s: np.ndarray, v: np.ndarray, poses: np.ndarray,
+                      actors: Actors, hazard_poses: np.ndarray,
+                      hazard_dims: np.ndarray, dt: float):
     """One car-following step of every actor along its route centerline.
 
-    All actors decide from the same snapshot. Actor i's hazards are
-    ``shared_hazards`` (the ego, in a simulation) plus every other actor's
-    current footprint. Its hazard corridor is an oriented rectangle starting
-    at the front bumper, ``hazard_lookahead`` long and ``own width +
+    Actor i is at arclength ``s[i]``, speed ``v[i]`` and pose ``poses[i]``
+    (x, y, heading); all decide from this snapshot. Actor i's hazards are
+    the shared boxes (centre poses ``hazard_poses`` (h, 3), half extents
+    ``hazard_dims`` (h, 2); the ego, in a simulation) plus every other
+    actor. Its hazard corridor is an oriented rectangle starting at the
+    front bumper, ``hazard_lookahead`` long and ``own width +
     CORRIDOR_MARGIN`` wide. One grid overlap test of every corridor against
     every hazard and one grid of bumper-to-hazard distances answer all
-    actors at once. Returns the new states and the realized accelerations
-    (clamped so no actor reverses).
+    actors at once. Returns the new arclengths, speeds and poses, and the
+    realized accelerations (clamped so no actor reverses).
     """
-    m = len(states)
-    if m == 0:
-        return [], []
-    heading = np.array([st.pose.heading for st in states])
-    u = np.array([[math.cos(h), math.sin(h)] for h in heading.tolist()])
-    position = np.array([[st.pose.x, st.pose.y] for st in states])
-    half_length = np.array([b.half_length for b in own_boxes])
-    half_width = np.array([b.half_width for b in own_boxes])
-    lookahead = np.array([p.hazard_lookahead for p in params])
-    front = position + half_length[:, None] * u
+    heading = poses[:, 2]
+    u = np.stack([np.cos(heading), np.sin(heading)], axis=1)
+    half_length, half_width = actors.dims.T
+    desired, max_accel, decel, lookahead, min_gap = actors.follow.T
+    front = poses[:, :2] + half_length[:, None] * u
     corridor_center = front + (0.5 * lookahead)[:, None] * u
     corridor_dims = (0.5 * lookahead[:, None],
                      half_width[:, None] + 0.5 * CORRIDOR_MARGIN)
 
-    hazards = list(shared_hazards) + [vehicle_box(st.pose, b)
-                                      for st, b in zip(states, own_boxes)]
-    centers, headings, (hl, hw) = box_arrays(hazards)
-    own = np.eye(m, len(hazards), k=len(shared_hazards), dtype=bool)
+    boxes = np.concatenate([hazard_poses, poses])
+    hl, hw = np.concatenate([hazard_dims, actors.dims]).T
+    centers, headings = boxes[None, :, :2], boxes[None, :, 2]
+    own = np.eye(len(s), len(boxes), k=len(hazard_poses), dtype=bool)
     # corridor headings are normalized like every Pose2 heading
     blocking = boxes_overlap_grid(
         corridor_center[:, None], wrap_angle(heading)[:, None], corridor_dims,
-        centers[None], headings[None], (hl[None], hw[None])) & ~own
-    dist = point_to_box_distance_grid(front[:, None], centers[None],
-                                      headings[None], (hl[None], hw[None]))
+        centers, headings, (hl[None], hw[None])) & ~own
+    dist = point_to_box_distance_grid(front[:, None], centers, headings,
+                                      (hl[None], hw[None]))
     nearest = np.where(blocking, dist, np.inf).min(axis=1, initial=np.inf)
 
-    speed = np.array([st.speed for st in states])
-    desired = np.array([p.desired_speed for p in params])
-    max_accel = np.array([p.max_accel for p in params])
-    decel = np.array([p.comfortable_decel for p in params])
-    min_gap = np.array([p.min_gap for p in params])
-    cruise = np.maximum(np.minimum(max_accel, (desired - speed) / dt), -decel)
+    cruise = np.maximum(np.minimum(max_accel, (desired - v) / dt), -decel)
     brake = -np.where(nearest < min_gap, 2.0, 1.0) * decel
     accel = np.where(blocking.any(axis=1), brake, cruise)
 
-    new_speed = np.maximum(0.0, speed + accel * dt)
-    realized = (new_speed - speed) / dt
-    new_s = np.array([st.arclength for st in states]) + new_speed * dt
-    lengths = np.array([lane.line.length for lane in lanes])
-    at_end = new_s >= lengths
-    new_s = np.where(at_end, lengths, new_s)
-    new_speed = np.where(at_end, 0.0, new_speed)
-    new_states = [ActorState(arclength=s, speed=v, pose=_lane_pose(lane, s))
-                  for s, v, lane in zip(new_s.tolist(), new_speed.tolist(), lanes)]
-    return new_states, realized.tolist()
+    new_v = np.maximum(0.0, v + accel * dt)
+    realized = (new_v - v) / dt
+    new_s = s + new_v * dt
+    at_end = new_s >= actors.lengths
+    new_s = np.where(at_end, actors.lengths, new_s)
+    new_v = np.where(at_end, 0.0, new_v)
+    return new_s, new_v, actors.poses(new_s), realized
 
 
 def _goal_progress(scenario: Scenario, position: np.ndarray) -> float:
@@ -189,27 +167,23 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
     goal_kind, goal_name = scenario.ego.goal
     goal_target = scenario.goal_target()
 
-    actor_lanes = [scenario.lanes[a.route] for a in scenario.actors]
-    actor_dims = [a.box for a in scenario.actors]
-    behaviors = [a.behavior for a in scenario.actors]
-    actor_states = []
-    for actor, lane in zip(scenario.actors, actor_lanes):
-        _, s = lane.line.project(actor.state.pose.position)
-        actor_states.append(ActorState(arclength=s, speed=actor.state.speed,
-                                       pose=_lane_pose(lane, s)))
-
-    ego_pose = scenario.ego.state.pose
-    ego_speed = scenario.ego.state.speed
-    ego_lane = scenario.lanes[scenario.ego.route]
-    lanes_for_tables = [ego_lane.line] + [lane.line for lane in actor_lanes]
+    actors, actor_s, actor_poses = scenario.actor_start()
+    actor_v = np.array([a.state.speed for a in scenario.actors], dtype=float)
     boxes = [scenario.ego.box] + [a.box for a in scenario.actors]
+    all_dims = np.array(boxes, dtype=float)
+
+    pose = scenario.ego.state.pose
+    ego_pose = np.array([pose.x, pose.y, pose.heading])
+    ego_speed = scenario.ego.state.speed
+    lanes_for_tables = [scenario.lanes[v.route].line
+                        for v in (scenario.ego, *scenario.actors)]
     ref_speeds = [scenario.ego.ref_speed] + [a.behavior.desired_speed
                                              for a in scenario.actors]
 
     committed = None
     commit_time = 0.0
     hold_counter = 0
-    braking = [False] * len(scenario.actors)
+    braking = np.zeros(len(scenario.actors), dtype=bool)
     brake_events = 0
     trace: list[dict] = []
     outcome = OUTCOME_TIMER
@@ -220,8 +194,10 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
         t = step * dt
         plan_record = None
         if step % sim_cfg.replan_steps == 0:
-            all_states = [KinematicState(ego_pose, ego_speed)] + \
-                [KinematicState(st.pose, st.speed) for st in actor_states]
+            # the arrays hold wrapped headings, which Pose2 keeps bit for bit
+            all_states = [KinematicState(Pose2(*p), v) for p, v in zip(
+                np.vstack([ego_pose, actor_poses]).tolist(),
+                [ego_speed] + actor_v.tolist())]
             candidates = []
             for idx, state in enumerate(all_states):
                 cfg = replace(sampler_cfg, seed=derived_seed(seed, step, idx))
@@ -246,31 +222,25 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
             }
 
         # decisions from the common snapshot, then simultaneous motion
-        actor_states, accels = actor_policy_step(
-            actor_states, actor_lanes, actor_dims, behaviors,
-            [vehicle_box(ego_pose, scenario.ego.box)], dt)
+        actor_s, actor_v, actor_poses, accels = actor_policy_step(
+            actor_s, actor_v, actor_poses, actors, ego_pose[None], all_dims[:1], dt)
         ego_pose, ego_speed = committed.state_at((t + dt) - commit_time)
         t_next = t + dt
 
-        for i, accel in enumerate(accels):
-            now_braking = accel < BRAKE_THRESHOLD
-            if now_braking and not braking[i]:
-                brake_events += 1
-            braking[i] = now_braking
+        now_braking = accels < BRAKE_THRESHOLD
+        brake_events += int(np.count_nonzero(now_braking & ~braking))
+        braking = now_braking
 
         # row 0 is the ego; the strict upper triangle of the rest is
         # actor-actor contact
-        hit = overlap_matrix(
-            [vehicle_box(ego_pose, scenario.ego.box)]
-            + [vehicle_box(st.pose, b) for st, b in zip(actor_states, actor_dims)])
+        hit = overlap_matrix(np.vstack([ego_pose, actor_poses]), all_dims)
         ego_hit = bool(hit[0, 1:].any())
         actor_contact = bool(np.triu(hit[1:, 1:], 1).any())
 
         record = {
             "t": round(t_next, 6),
-            "ego": [ego_pose.x, ego_pose.y, ego_pose.heading, ego_speed],
-            "actors": [[st.pose.x, st.pose.y, st.pose.heading, st.speed]
-                       for st in actor_states],
+            "ego": ego_pose.tolist() + [ego_speed],
+            "actors": np.column_stack([actor_poses, actor_v]).tolist(),
             "actor_contact": actor_contact,
         }
         if plan_record is not None:
@@ -283,13 +253,13 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
             break
 
         if goal_kind == "point":
-            if _goal_progress(scenario, ego_pose.position) <= sim_cfg.goal_radius:
+            if _goal_progress(scenario, ego_pose[:2]) <= sim_cfg.goal_radius:
                 outcome = OUTCOME_GOAL
                 ttc = t_next
                 break
         else:
             lane = scenario.lanes[goal_name]
-            lat, _ = lane.line.project(ego_pose.position)
+            lat, _ = lane.line.project(ego_pose[:2])
             hold_counter = hold_counter + 1 if lat < 0.5 * lane.width else 0
             if hold_counter >= sim_cfg.hold_steps:
                 outcome = OUTCOME_GOAL
@@ -298,7 +268,7 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
 
     success = outcome == OUTCOME_GOAL
     return EpisodeResult(outcome=outcome, success=success, ttc=ttc,
-                         goal_distance=_goal_progress(scenario, ego_pose.position),
+                         goal_distance=_goal_progress(scenario, ego_pose[:2]),
                          collision=collision, brake_events=brake_events,
                          trace=trace)
 

@@ -6,7 +6,7 @@ import numpy as np
 from reactplan.energy import BoxDims, EnergyTables
 from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 boxes_overlap, boxes_overlap_grid,
-                                point_to_box_distance, point_to_box_distance_grid,
+                                point_to_box_distance_grid,
                                 wrap_angle)
 from reactplan.errors import HorizonMismatch
 from reactplan.inference import _edge_list, _lse, _softmax, lbp
@@ -14,7 +14,7 @@ from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
                                MODE_SPIRAL, CandidateSet, KinematicState,
                                SamplerConfig, Trajectory, sample_candidates)
-from reactplan.simulator import CORRIDOR_MARGIN, ActorState
+from reactplan.simulator import CORRIDOR_MARGIN
 
 
 def tv_distance(p, q) -> float:
@@ -405,6 +405,21 @@ def safety_energy(ti, tj, dims_j, d_safe) -> float:
     return total
 
 
+def point_to_box_distance(point, box: OrientedBox) -> float:
+    """Euclidean distance to the box boundary; 0 for interior points."""
+    return float(point_to_box_distance_grid(
+        np.asarray(point, dtype=float), box.center.position, box.center.heading,
+        (box.half_length, box.half_width)))
+
+
+def box_arrays(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """Centre poses (n, 3) and half extents (n, 2) of a sequence of
+    OrientedBox, the layout the simulator's array kernels take."""
+    poses = np.array([[b.center.x, b.center.y, b.center.heading] for b in boxes])
+    dims = np.array([[b.half_length, b.half_width] for b in boxes])
+    return poses.reshape(-1, 3), dims.reshape(-1, 2)
+
+
 def penetration_depth(a: OrientedBox, b: OrientedBox) -> float:
     """Minimum separating-axis overlap; positive iff the boxes overlap with
     some depth."""
@@ -415,13 +430,15 @@ def penetration_depth(a: OrientedBox, b: OrientedBox) -> float:
     return float(np.min(gaps))
 
 
-def actor_policy_step_reference(state, lane, own_box, hazards, params, dt):
-    """Scalar reference for one actor of ``simulator.actor_policy_step``: one
+def actor_policy_step_reference(s, v, pose, lane, own_box, hazards, params, dt):
+    """Scalar reference for one actor of ``simulator.actor_policy_step``, the
+    actor at arclength ``s`` with speed ``v`` and Pose2 ``pose``: one
     ``boxes_overlap`` call per hazard, then the nearest blocking hazard by
-    scalar point-to-box distance. Returns (ActorState, realized accel)."""
-    heading = state.pose.heading
+    scalar point-to-box distance. Returns (arclength, speed, Pose2,
+    realized accel)."""
+    heading = pose.heading
     u = np.array([math.cos(heading), math.sin(heading)])
-    front = state.pose.position + own_box.half_length * u
+    front = pose.position + own_box.half_length * u
     corridor_center = front + 0.5 * params.hazard_lookahead * u
     corridor = OrientedBox(
         center=Pose2(corridor_center[0], corridor_center[1], heading),
@@ -430,22 +447,22 @@ def actor_policy_step_reference(state, lane, own_box, hazards, params, dt):
 
     blocking = [b for b in hazards if boxes_overlap(corridor, b)]
     if not blocking:
-        accel = min(params.max_accel, (params.desired_speed - state.speed) / dt)
+        accel = min(params.max_accel, (params.desired_speed - v) / dt)
         accel = max(accel, -params.comfortable_decel)
     else:
         nearest = min(point_to_box_distance(front, b) for b in blocking)
         factor = 2.0 if nearest < params.min_gap else 1.0
         accel = -factor * params.comfortable_decel
 
-    new_speed = max(0.0, state.speed + accel * dt)
-    realized = (new_speed - state.speed) / dt
-    new_s = state.arclength + new_speed * dt
+    new_speed = max(0.0, v + accel * dt)
+    realized = (new_speed - v) / dt
+    new_s = s + new_speed * dt
     if new_s >= lane.line.length:
         new_s = lane.line.length
         new_speed = 0.0
     point = lane.line.point_at(new_s)
-    pose = Pose2(point[0], point[1], lane.line.tangent_at(new_s))
-    return ActorState(arclength=new_s, speed=new_speed, pose=pose), realized
+    new_pose = Pose2(point[0], point[1], lane.line.tangent_at(new_s))
+    return new_s, new_speed, new_pose, realized
 
 
 def draw_controls_reference(cfg, index):

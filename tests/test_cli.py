@@ -295,6 +295,46 @@ class TestCmdSimulate:
         assert all(r.levelno == logging.WARNING for r in caplog.records)
         assert capsys.readouterr().out == ""
 
+    def _one_variant_config(self, tmp_path, section=None, key=None, value=None):
+        cfg = RunConfig(sampler=SamplerConfig(k=2, horizon_steps=2),
+                        n_variants=1).to_dict()
+        if section is not None:
+            cfg[section][key] = value
+        path = tmp_path / "one_variant.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        return path
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_variants_below_one_exit_2(self, tmp_path, capsys, value):
+        # the config asks for one short variant, so a run that ignored the
+        # flag would end quickly with exit 0
+        config = self._one_variant_config(tmp_path)
+        code = main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     "simulate", "--templates",
+                     str(self._template_dir(tmp_path, timer=0.2)),
+                     "--variants", value])
+        assert code == 2
+        assert f"--variants must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("sim", "replan_steps", 0), ("sim", "replan_steps", 1.5),
+        ("sim", "hold_steps", 2.5), ("lbp", "max_iters", 2.5),
+        ("sampler", "k", 2.5), ("sampler", "horizon_steps", 2.5)])
+    def test_bad_count_in_config_exits_2(self, tmp_path, capsys, section, key,
+                                         value):
+        config = self._one_variant_config(tmp_path, section, key, value)
+        code = main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     "simulate", "--templates",
+                     str(self._template_dir(tmp_path, timer=0.2)),
+                     "--variants", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed config file" in err
+        assert f"{key} must be an integer >= 1" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_templates_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "simulate", "--templates",
                      str(tmp_path / "nowhere")]) == 2

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import (candidate_set, collision_energy,
-                      interaction_tables_reference, random_scene, safety_energy,
-                      stationary_trajectory, straight_trajectory)
+                      interaction_tables_reference, point_to_box_distance,
+                      random_scene, safety_energy, stationary_trajectory,
+                      straight_trajectory)
 from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
                               build_tables, extract_features_batch,
                               goal_energy_batch, interaction_tables)
 from reactplan.errors import DimensionMismatch, HorizonMismatch
-from reactplan.geometry import Polyline
+from reactplan.geometry import OrientedBox, Polyline, Pose2
 from reactplan.sampler import Trajectory
 
 CAR = BoxDims(2.0, 1.0)
@@ -122,7 +123,7 @@ class TestCollisionEnergy:
         b = straight_trajectory((0, -20), math.pi / 2, 5.0, steps=9, dt=0.5)  # at y=0 at t=4
         assert collision_energy(a, CAR, b, CAR, gamma=100.0) == 0.0
         # per-timestep oracle confirms no simultaneous overlap
-        from reactplan.geometry import boxes_overlap, OrientedBox, Pose2
+        from reactplan.geometry import boxes_overlap
         for t in range(1, 9):
             pa, pb = a.poses[t], b.poses[t]
             assert not boxes_overlap(
@@ -332,8 +333,6 @@ class TestBuildTables:
                                     rng.uniform(0, 10))
             e = safety_energy(a, b, CAR, d_safe=4.0)
             assert e >= 0.0
-            from reactplan.geometry import (OrientedBox, Pose2,
-                                            point_to_box_distance)
             clear = all(
                 point_to_box_distance(
                     a.positions[t],

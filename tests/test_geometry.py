@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import penetration_depth, random_box
+from conftest import (box_arrays, penetration_depth, point_to_box_distance,
+                      random_box)
 from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
-                                box_arrays, boxes_overlap, boxes_overlap_grid,
-                                overlap_matrix, point_to_box_distance,
-                                wrap_angle)
+                                boxes_overlap, boxes_overlap_grid,
+                                overlap_matrix, wrap_angle)
 
 
 def unit_box(x=0.0, y=0.0, heading=0.0):
@@ -42,6 +42,22 @@ class TestWrapAngle:
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+
+    def test_rewrapping_keeps_the_bits(self):
+        # the simulator keeps wrapped headings in arrays and builds a Pose2
+        # (which wraps again) from them only at replans; that is exact only
+        # because a wrapped angle wraps to itself. Unwrapped angles may move:
+        # 1e-10 wraps to 1.000000082740371e-10.
+        rng = np.random.default_rng(3)
+        edges = np.concatenate([np.nextafter(np.pi, 0) - np.arange(500) * 4.4e-16,
+                                -np.pi + np.arange(500) * 4.4e-16,
+                                np.arange(-500, 500) * 1e-17,
+                                [np.pi, -np.pi, 0.0, -0.0, np.pi / 2, -np.pi / 2]])
+        for angles in (rng.uniform(-50, 50, 100_000), edges,
+                       np.arctan2(rng.normal(size=100_000), rng.normal(size=100_000))):
+            once = wrap_angle(angles)
+            assert wrap_angle(once).tobytes() == once.tobytes()
+        assert wrap_angle(1e-10) != 1e-10
 
 
 class TestBoxesOverlap:
@@ -107,13 +123,14 @@ class TestGridKernelsMatchScalar:
 
     def test_pair_grid_equals_scalar_entries(self):
         boxes = self.boxes(np.random.default_rng(7))
-        centers, headings, (hl, hw) = box_arrays(boxes)
+        poses, dims = box_arrays(boxes)
+        centers, headings, (hl, hw) = poses[:, :2], poses[:, 2], dims.T
         args = (centers[:, None], headings[:, None], (hl[:, None], hw[:, None]),
                 centers[None], headings[None], (hl[None], hw[None]))
         gaps = _sat_gaps(*args)
         hit = boxes_overlap_grid(*args)
         assert gaps.shape == (len(boxes), len(boxes), 4)
-        assert np.array_equal(overlap_matrix(boxes), hit)
+        assert np.array_equal(overlap_matrix(poses, dims), hit)
         for i, a in enumerate(boxes):
             for j, b in enumerate(boxes):
                 assert np.array_equal(gaps[i, j], scalar_gaps(a, b))

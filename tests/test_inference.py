@@ -71,7 +71,8 @@ class TestLbpBasics:
         assert len(ms.residuals) == 17
 
     @pytest.mark.parametrize("option", [{"tol": float("nan")}, {"tol": 0.0},
-                                        {"damping": float("nan")}, {"max_iters": 0}])
+                                        {"damping": float("nan")}, {"max_iters": 0},
+                                        {"max_iters": 2.5}, {"max_iters": True}])
     def test_config_rejects_bad_options(self, option):
         # residual < nan never holds, so a NaN tol could never converge
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Planning objectives vs brute-force expectations, argmin behavior."""
 import logging
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from reactplan import planner, sampler
 from reactplan.energy import EnergyParams, EnergyTables, build_tables
 from reactplan.inference import LbpConfig, exact_marginals, lbp
 from reactplan.errors import InvalidSetSize
+from reactplan.geometry import Polyline, Pose2
 from reactplan.planner import (PlannerConfig, conditioning_sets,
                                ego_pair_energy, interpolated_objective,
                                nonreactive_objective, plan, reactive_objective)
+from reactplan.sampler import KinematicState
+from reactplan.scenarios import builtin_templates
 
 TIGHT = LbpConfig(max_iters=300, damping=0.5, tol=1e-13)
 
@@ -445,3 +450,71 @@ class TestActorRelabelling:
                 assert got.chosen == want.chosen
                 np.testing.assert_allclose(got.objective_values, want.objective_values,
                                            rtol=0, atol=1e-9)
+
+
+def moved_scenario(scenario, theta, shift):
+    """``scenario`` rotated by ``theta`` about the origin, then translated by
+    ``shift``: lanes, vehicle states and a point goal all move."""
+    c, s = math.cos(theta), math.sin(theta)
+
+    def move(x, y):
+        return c * x - s * y + shift[0], s * x + c * y + shift[1]
+
+    def move_state(state):
+        x, y = move(state.pose.x, state.pose.y)
+        return KinematicState(Pose2(x, y, state.pose.heading + theta), state.speed)
+
+    lanes = {name: replace(lane, line=Polyline([move(*p) for p in lane.line.points]))
+             for name, lane in scenario.lanes.items()}
+    kind, target = scenario.ego.goal
+    goal = ("point", move(*target)) if kind == "point" else scenario.ego.goal
+    ego = replace(scenario.ego, state=move_state(scenario.ego.state), goal=goal)
+    actors = tuple(replace(a, state=move_state(a.state)) for a in scenario.actors)
+    return replace(scenario, lanes=lanes, ego=ego, actors=actors)
+
+
+def replan(scenario, planner_cfg, sampler_cfg, params, seed):
+    """One replan at t = 0: per-vehicle candidates with fixed sampler seeds,
+    tables, plan."""
+    vehicles = [scenario.ego, *scenario.actors]
+    refs = [scenario.ego.ref_speed] + [a.behavior.desired_speed for a in scenario.actors]
+    cands = [sampler.sample_candidates(v.state, replace(
+                 sampler_cfg, seed=sampler.derived_seed(seed, idx)))
+             for idx, v in enumerate(vehicles)]
+    tables = build_tables(cands, [v.box for v in vehicles],
+                          [scenario.lanes[v.route].line for v in vehicles], refs,
+                          scenario.goal_target(), params)
+    return plan(cands[0], tables, planner_cfg)
+
+
+class TestRigidMotion:
+    def test_moving_the_whole_scene_keeps_objectives_and_choice(self):
+        # the rule of perfbench's check_rigid_motion: objective values within
+        # 1e-6 x scale, the same choice unless the two best values tie
+        params = EnergyParams(w_goal=0.5)
+        sampler_cfg = sampler.SamplerConfig(k=8)
+        variants = [("reactive", None), ("nonreactive", None), ("interpolated", 3)]
+        point_goal = builtin_templates()["merge_dense"]
+        point_goal = replace(point_goal, ego=replace(point_goal.ego,
+                                                     goal=("point", (60.0, 3.5))))
+        scenes = [*builtin_templates().values(), point_goal]
+        rng = np.random.default_rng(29)
+        compared = 0
+        for scenario in scenes:
+            theta = float(rng.uniform(-math.pi, math.pi))
+            moved = moved_scenario(scenario, theta, rng.uniform(-500, 500, size=2))
+            for variant, set_size in variants:
+                cfg = PlannerConfig(variant=variant, set_size=set_size, lambda_b=1.0,
+                                    lambda_c=1.0, w_goal=params.w_goal, lbp=LbpConfig())
+                here = replan(scenario, cfg, sampler_cfg, params, seed=3)
+                there = replan(moved, cfg, sampler_cfg, params, seed=3)
+                values, moved_values = here.objective_values, there.objective_values
+                fin = np.isfinite(values)
+                assert np.array_equal(fin, np.isfinite(moved_values))
+                scale = max(1.0, float(np.max(np.abs(values[fin]))))
+                assert np.max(np.abs(values[fin] - moved_values[fin])) <= 1e-6 * scale
+                top = np.sort(values[fin])
+                if len(top) < 2 or top[1] - top[0] > 1e-6 * scale:
+                    assert there.chosen == here.chosen
+                    compared += 1
+        assert compared > 0

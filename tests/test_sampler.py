@@ -224,7 +224,8 @@ class TestSamplerConfigValidation:
         {"dt": math.nan}, {"dt": math.inf}, {"dt": 0.0}, {"v_max": -1.0},
         {"v_max": math.nan}, {"k": 0}, {"mode_probs": (math.nan, 0.5, 0.5)},
         {"mode_probs": (0.5, 0.5, 0.5)}, {"accel_range": (1.0, -1.0)},
-        {"curvature_range": (math.nan, 0.2)}])
+        {"curvature_range": (math.nan, 0.2)}, {"k": 2.5}, {"horizon_steps": 0},
+        {"horizon_steps": 8.0}])
     def test_rejects_bad_options(self, option):
         with pytest.raises(ValueError):
             SamplerConfig(**option)
@@ -392,16 +393,16 @@ class TestTrajectoryInterpolation:
     def test_state_at_midpoint(self):
         traj = straight_trajectory((0, 0), 0.0, 4.0, steps=5, dt=0.5)
         pose, speed = traj.state_at(0.25)
-        assert pose.x == pytest.approx(1.0)
+        assert pose[0] == pytest.approx(1.0)
         assert speed == pytest.approx(4.0)
 
     def test_state_at_clamps_beyond_end(self):
         traj = straight_trajectory((0, 0), 0.0, 4.0, steps=5, dt=0.5)
         pose, _ = traj.state_at(100.0)
-        assert pose.x == pytest.approx(traj.positions[-1, 0])
+        assert pose[0] == pytest.approx(traj.positions[-1, 0])
 
     def test_heading_interpolation_wraps(self):
         poses = np.array([[0, 0, 3.1], [0, 0, -3.1]])
         traj = Trajectory(start_time=0.0, dt=1.0, poses=poses, speeds=np.zeros(2))
         pose, _ = traj.state_at(0.5)
-        assert abs(pose.heading) > 3.1  # goes through +/- pi, not through 0
+        assert abs(pose[2]) > 3.1  # goes through +/- pi, not through 0

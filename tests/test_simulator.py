@@ -1,20 +1,21 @@
 """Closed-loop execution: actor policy, episode mechanics, suites."""
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import actor_policy_step_reference
+from conftest import actor_policy_step_reference, box_arrays
 from reactplan import simulator
 from reactplan.config import RunConfig
 from reactplan.energy import BoxDims
 from reactplan.errors import InfeasiblePerturbation, InvalidScenario
 from reactplan.geometry import OrientedBox, Polyline, Pose2, boxes_overlap
 from reactplan.sampler import KinematicState, SamplerConfig
-from reactplan.scenarios import (ActorSpec, CarFollowingParams, EgoSpec, Lane,
-                                 Scenario, builtin_templates, vehicle_box)
-from reactplan.simulator import (ActorState, CORRIDOR_MARGIN,
+from reactplan.scenarios import (ActorSpec, Actors, CarFollowingParams, EgoSpec,
+                                 Lane, Scenario, builtin_templates)
+from reactplan.simulator import (CORRIDOR_MARGIN, SimConfig,
                                  actor_policy_step, aggregate,
                                  perturb_scenario, run_suite, step_episode)
 
@@ -34,18 +35,32 @@ def open_road_scenario(goal=("point", (60.0, 0.0)), timer=12.0, actors=()):
                     timer=timer, position_sigma=0.0, speed_sigma=0.0)
 
 
+# one actor's state as the tests write it; the simulator holds columns of these
+Actor = namedtuple("Actor", "arclength speed pose")
+
+
+def step_actors(states, lanes, dims, params, hazards, dt):
+    """``actor_policy_step`` on Actor rows and OrientedBox shared
+    hazards; returns its arclength, speed, pose and acceleration arrays."""
+    actors = Actors.pack([lane.line for lane in lanes], dims, params)
+    s = np.array([st.arclength for st in states], dtype=float)
+    v = np.array([st.speed for st in states], dtype=float)
+    poses = np.array([[st.pose.x, st.pose.y, st.pose.heading]
+                      for st in states]).reshape(-1, 3)
+    return actor_policy_step(s, v, poses, actors, *box_arrays(hazards), dt)
+
+
 def step_one(state, hazards, params):
     """One actor alone on LONG_LANE, with ``hazards`` as its shared hazards."""
-    [new_state], [accel] = actor_policy_step([state], [LONG_LANE], [CAR], [params],
-                                             hazards, 0.1)
-    return new_state, accel
+    s, v, poses, accel = step_actors([state], [LONG_LANE], [CAR], [params],
+                                     hazards, 0.1)
+    return Actor(s[0], v[0], Pose2(*poses[0])), accel[0]
 
 
 class TestActorPolicyStep:
     def test_empty_road_ramps_to_desired_speed(self):
         params = cruise(8.0)
-        state = ActorState(arclength=50.0, speed=0.0,
-                           pose=Pose2(0.0, 0.0, 0.0))
+        state = Actor(arclength=50.0, speed=0.0, pose=Pose2(0.0, 0.0, 0.0))
         for _ in range(100):
             state, _ = step_one(state, [], params)
         assert state.speed == pytest.approx(8.0)
@@ -53,7 +68,7 @@ class TestActorPolicyStep:
     def test_never_reverses(self):
         params = cruise(8.0)
         blocker = OrientedBox(Pose2(8.0, 0.0, 0.0), 2.25, 0.9)
-        state = ActorState(arclength=50.0, speed=1.0, pose=Pose2(0.0, 0.0, 0.0))
+        state = Actor(arclength=50.0, speed=1.0, pose=Pose2(0.0, 0.0, 0.0))
         for _ in range(50):
             state, _ = step_one(state, [blocker], params)
             assert state.speed >= 0.0
@@ -66,11 +81,10 @@ class TestActorPolicyStep:
         stopping = v0 ** 2 / (2 * params.comfortable_decel)
         leader_front = 50.0 + 2.25 + stopping + params.min_gap + 2.0
         leader = OrientedBox(Pose2(leader_front + 2.25, 0.0, 0.0), 2.25, 0.9)
-        state = ActorState(arclength=100.0, speed=v0,
-                           pose=Pose2(50.0, 0.0, 0.0))
+        state = Actor(arclength=100.0, speed=v0, pose=Pose2(50.0, 0.0, 0.0))
         for _ in range(300):
             state, _ = step_one(state, [leader], params)
-            own = vehicle_box(state.pose, CAR)
+            own = OrientedBox(state.pose, *CAR)
             assert not boxes_overlap(own, leader)
             if state.speed == 0.0:
                 break
@@ -78,7 +92,7 @@ class TestActorPolicyStep:
 
     def test_corridor_boundary_toggles_deceleration(self):
         params = cruise(8.0, hazard_lookahead=15.0)
-        state = ActorState(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
+        state = Actor(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
         # corridor spans [front bumper, front bumper + lookahead]
         front = 2.25
         for offset, expect_brake in ((front + 15.0 - 0.05, True),
@@ -89,7 +103,7 @@ class TestActorPolicyStep:
 
     def test_corridor_lateral_extent(self):
         params = cruise(8.0)
-        state = ActorState(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
+        state = Actor(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
         half_width = CAR.half_width + 0.5 * CORRIDOR_MARGIN
         for lateral, expect_brake in ((half_width + 0.9 - 0.05, True),
                                       (half_width + 0.9 + 0.05, False)):
@@ -99,7 +113,7 @@ class TestActorPolicyStep:
 
     def test_hard_braking_inside_min_gap(self):
         params = cruise(8.0, comfortable_decel=3.0, min_gap=5.0)
-        state = ActorState(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
+        state = Actor(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
         near = OrientedBox(Pose2(2.25 + 3.0 + 2.25, 0.0, 0.0), 2.25, 0.9)
         far = OrientedBox(Pose2(2.25 + 8.0 + 2.25, 0.0, 0.0), 2.25, 0.9)
         _, accel_near = step_one(state, [near], params)
@@ -109,11 +123,11 @@ class TestActorPolicyStep:
 
     def test_other_actors_are_hazards_but_not_self(self):
         params = cruise(8.0)
-        rear = ActorState(arclength=50.0, speed=6.0, pose=Pose2(0.0, 0.0, 0.0))
-        lead = ActorState(arclength=60.0, speed=6.0, pose=Pose2(10.0, 0.0, 0.0))
+        rear = Actor(arclength=50.0, speed=6.0, pose=Pose2(0.0, 0.0, 0.0))
+        lead = Actor(arclength=60.0, speed=6.0, pose=Pose2(10.0, 0.0, 0.0))
         # the corridor starts at the front bumper, so each actor's own box
         # touches its corridor; only the other actor may count as a hazard
-        _, (accel_rear, accel_lead) = actor_policy_step(
+        _, _, _, (accel_rear, accel_lead) = step_actors(
             [rear, lead], [LONG_LANE] * 2, [CAR] * 2, [params] * 2, [], 0.1)
         assert accel_rear < 0
         assert accel_lead > 0
@@ -133,8 +147,8 @@ def random_actor_scene(rng, m):
         s = rng.uniform(0.0, lane.line.length)
         point = lane.line.point_at(s)
         speed = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 15.0)
-        states.append(ActorState(arclength=s, speed=speed,
-                                 pose=Pose2(point[0], point[1], lane.line.tangent_at(s))))
+        states.append(Actor(arclength=s, speed=speed,
+                            pose=Pose2(point[0], point[1], lane.line.tangent_at(s))))
         lanes.append(lane)
         dims.append(BoxDims(rng.uniform(1.5, 2.5), rng.uniform(0.7, 1.1)))
         lookahead = rng.uniform(6.0, 25.0)
@@ -147,23 +161,20 @@ def random_actor_scene(rng, m):
     return states, lanes, dims, params, ego
 
 
-def state_bits(state, accel):
-    return np.array([state.arclength, state.speed, state.pose.x, state.pose.y,
-                     state.pose.heading, accel]).tobytes()
-
-
 def assert_matches_reference(states, lanes, dims, params, shared, dt):
     """Batched step equals the scalar reference for every actor, bit for
     bit; returns the reference accelerations."""
-    got_states, got_accels = actor_policy_step(states, lanes, dims, params,
-                                               shared, dt)
-    boxes = [vehicle_box(st.pose, d) for st, d in zip(states, dims)]
+    got_s, got_v, got_poses, got_accels = step_actors(states, lanes, dims, params,
+                                                      shared, dt)
+    boxes = [OrientedBox(st.pose, *d) for st, d in zip(states, dims)]
     accels = []
-    for i in range(len(states)):
+    for i, st in enumerate(states):
         hazards = list(shared) + boxes[:i] + boxes[i + 1:]
-        want, accel = actor_policy_step_reference(states[i], lanes[i], dims[i],
-                                                  hazards, params[i], dt)
-        assert state_bits(got_states[i], got_accels[i]) == state_bits(want, accel)
+        s, v, pose, accel = actor_policy_step_reference(
+            *st, lanes[i], dims[i], hazards, params[i], dt)
+        got = np.array([got_s[i], got_v[i], *got_poses[i], got_accels[i]])
+        want = np.array([s, v, pose.x, pose.y, pose.heading, accel])
+        assert got.tobytes() == want.tobytes()
         accels.append(accel)
     return accels
 
@@ -177,13 +188,13 @@ class TestActorPolicyStepMatchesReference:
             states, lanes, dims, params, ego = random_actor_scene(rng, m)
             dt = float(rng.choice([0.1, 0.25, 1.0]))
             accels = assert_matches_reference(states, lanes, dims, params, [ego], dt)
-            new_states, _ = actor_policy_step(states, lanes, dims, params, [ego], dt)
-            for st, new, p, a, lane in zip(states, new_states, params, accels, lanes):
+            new_s, new_v, _, _ = step_actors(states, lanes, dims, params, [ego], dt)
+            for st, s, v, p, a, lane in zip(states, new_s, new_v, params, accels, lanes):
                 seen["cruise"] += a > -p.comfortable_decel
                 seen["brake"] += a == -p.comfortable_decel
                 seen["hard"] += a == -2.0 * p.comfortable_decel
-                seen["stopped"] += new.speed == 0.0 and st.speed > 0.0
-                seen["lane_end"] += new.arclength == lane.line.length
+                seen["stopped"] += v == 0.0 and st.speed > 0.0
+                seen["lane_end"] += s == lane.line.length
         assert min(seen.values()) > 0, seen
 
     def test_one_actor_and_no_shared_hazards(self):
@@ -192,32 +203,33 @@ class TestActorPolicyStepMatchesReference:
             states, lanes, dims, params, ego = random_actor_scene(rng, 1)
             assert_matches_reference(states, lanes, dims, params, [ego], 0.1)
             assert_matches_reference(states, lanes, dims, params, [], 0.1)
-        assert actor_policy_step([], [], [], [], [], 0.1) == ([], [])
+        s, v, poses, accels = step_actors([], [], [], [], [], 0.1)
+        assert s.shape == v.shape == accels.shape == (0,) and poses.shape == (0, 3)
 
     def test_speed_clipped_at_zero_and_lane_end(self):
         params = cruise(8.0, comfortable_decel=3.0)
         blocker = OrientedBox(Pose2(8.0, 0.0, 0.0), 2.25, 0.9)
-        slow = ActorState(arclength=50.0, speed=0.1, pose=Pose2(0.0, 0.0, 0.0))
+        slow = Actor(arclength=50.0, speed=0.1, pose=Pose2(0.0, 0.0, 0.0))
         [accel] = assert_matches_reference([slow], [LONG_LANE], [CAR], [params],
                                            [blocker], 0.1)
         assert accel == pytest.approx(-1.0)           # realized, not commanded -6
         short = Lane(Polyline([[0.0, 0.0], [20.0, 0.0]]))
-        near_end = ActorState(arclength=19.5, speed=8.0, pose=Pose2(19.5, 0.0, 0.0))
+        near_end = Actor(arclength=19.5, speed=8.0, pose=Pose2(19.5, 0.0, 0.0))
         assert_matches_reference([near_end], [short], [CAR], [params], [], 0.1)
-        [new], _ = actor_policy_step([near_end], [short], [CAR], [params], [], 0.1)
-        assert new.arclength == short.line.length and new.speed == 0.0
+        [s], [v], _, _ = step_actors([near_end], [short], [CAR], [params], [], 0.1)
+        assert s == short.line.length and v == 0.0
         # cruising at the desired speed lands exactly on the end: 19.5 + 8 / 16
-        exact = ActorState(arclength=19.5, speed=8.0, pose=Pose2(19.5, 0.0, 0.0))
+        exact = Actor(arclength=19.5, speed=8.0, pose=Pose2(19.5, 0.0, 0.0))
         assert_matches_reference([exact], [short], [CAR], [params], [], 0.0625)
-        [new], _ = actor_policy_step([exact], [short], [CAR], [params], [], 0.0625)
-        assert new.arclength == 20.0 and new.speed == 0.0
+        [s], [v], _, _ = step_actors([exact], [short], [CAR], [params], [], 0.0625)
+        assert s == 20.0 and v == 0.0
 
     def test_hazard_exactly_touching_the_corridor(self):
         # axis-aligned corridor: x in [2, 18], |y| <= 0.75 + CORRIDOR_MARGIN / 2
         # = 2; a hazard with half width 1 centred at y = 3 touches its edge
         dims = BoxDims(2.0, 0.75)
         params = cruise(8.0, hazard_lookahead=16.0)
-        state = ActorState(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
+        state = Actor(arclength=50.0, speed=8.0, pose=Pose2(0.0, 0.0, 0.0))
         touching = OrientedBox(Pose2(10.0, 3.0, 0.0), 2.0, 1.0)
         apart = OrientedBox(Pose2(10.0, 3.0 + 1e-9, 0.0), 2.0, 1.0)
         ahead = OrientedBox(Pose2(20.0, 0.0, 0.0), 2.0, 1.0)   # rear at x = 18
@@ -231,7 +243,88 @@ class TestActorPolicyStepMatchesReference:
         assert a_apart == 0.0
 
 
+class TestActorArrays:
+    def lines(self, rng, n):
+        return [Polyline(np.cumsum(rng.uniform(-10, 10, size=(4, 2)), axis=0))
+                for _ in range(n)]
+
+    def test_poses_match_scalar_lane_pose_one_lookup_per_line(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        lines = self.lines(rng, 3)
+        routes = [lines[i] for i in (0, 2, 0, 0, 2, 2, 0)]
+        s = np.array([rng.uniform(-5.0, line.length + 5.0) for line in routes])
+        actors = Actors.pack(routes, [CAR] * 7, [cruise()] * 7)
+        assert actors.lines == (lines[0], lines[2])
+        assert actors.route.tolist() == [0, 1, 0, 0, 1, 1, 0]
+        assert actors.lengths.tolist() == [line.length for line in routes]
+        assert actors.dims.shape == (7, 2) and actors.follow.shape == (7, 5)
+        calls = []
+        real_point_at = Polyline.point_at
+        monkeypatch.setattr(Polyline, "point_at",
+                            lambda line, s: calls.append(s) or real_point_at(line, s))
+        poses = actors.poses(s)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        for line, s_i, got in zip(routes, s, poses):
+            point = line.point_at(s_i)
+            want = Pose2(point[0], point[1], line.tangent_at(s_i))
+            assert got.tobytes() == np.array([want.x, want.y, want.heading]).tobytes()
+
+    def test_actor_start_snaps_each_actor_to_its_route(self):
+        rng = np.random.default_rng(6)
+        lines = self.lines(rng, 2)
+        lanes = {"a": Lane(lines[0]), "b": Lane(lines[1])}
+        specs = [ActorSpec(state=KinematicState(Pose2(*rng.uniform(-20, 20, 2), 0.0), 1.0),
+                           box=CAR, route=route, behavior=cruise())
+                 for route in "baab"]
+        scenario = replace(open_road_scenario(), lanes={**lanes, "main": LONG_LANE},
+                           actors=tuple(specs))
+        _, s, poses = scenario.actor_start()
+        for spec, s_i, pose in zip(specs, s, poses):
+            line = lanes[spec.route].line
+            assert s_i == line.project(spec.state.pose.position)[1]
+            point = line.point_at(s_i)
+            assert pose.tolist() == [point[0], point[1],
+                                     Pose2(0.0, 0.0, line.tangent_at(s_i)).heading]
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("option", [
+        {"replan_steps": 0}, {"replan_steps": 2.5}, {"hold_steps": 0},
+        {"hold_steps": 1.5}, {"hold_steps": True}])
+    def test_rejects_bad_counts(self, option):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            SimConfig(**option)
+
+
 class TestStepEpisode:
+    def test_non_replan_steps_build_no_pose_or_box_objects(self, monkeypatch):
+        built = {Pose2: 0, OrientedBox: 0}
+        for cls in built:
+            def counting(self, cls=cls, init=cls.__post_init__):
+                built[cls] += 1
+                init(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        # counts seen at each actor step; from one call to the next, the
+        # simulator finishes a step and starts the next one
+        seen = []
+        real_step = simulator.actor_policy_step
+
+        def recording_step(*args):
+            seen.append(dict(built))
+            return real_step(*args)
+
+        monkeypatch.setattr(simulator, "actor_policy_step", recording_step)
+        cfg = RunConfig(sampler=SamplerConfig(k=4, horizon_steps=6))
+        sim_cfg = SimConfig(replan_steps=5)
+        step_episode(builtin_templates()["merge_dense"], cfg.planner_config(),
+                     cfg.energy, cfg.sampler, sim_cfg, seed=0)
+        assert len(seen) > 3 * sim_cfg.replan_steps
+        assert seen[0][Pose2] > 0                 # replans build sampler states
+        for step in range(1, len(seen)):
+            if step % sim_cfg.replan_steps:
+                assert seen[step] == seen[step - 1], step
+
     def test_open_road_reaches_goal_in_expected_time(self):
         cfg = RunConfig()
         scenario = open_road_scenario()
