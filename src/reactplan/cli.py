@@ -257,13 +257,21 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.3f}"
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0 (argparse reports a non-integer itself)."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reactplan",
         description="Joint prediction-and-planning toolkit: candidate sampling, "
                     "marginal inference, planning, training, closed-loop suites.")
     parser.add_argument("--config", default=None, help="run config JSON")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,6 +5,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .energy import EnergyParams
+from .errors import check_counts
 from .inference import LbpConfig
 from .planner import PlannerConfig
 from .sampler import SamplerConfig
@@ -21,6 +22,12 @@ class RunConfig:
     set_size: int | None = None
     sim: SimConfig = field(default_factory=SimConfig)
     n_variants: int = 50
+
+    def __post_init__(self):
+        check_counts(0, seed=self.seed)
+        check_counts(n_variants=self.n_variants)
+        if self.set_size is not None:
+            check_counts(set_size=self.set_size)
 
     def planner_config(self, variant: str | None = None) -> PlannerConfig:
         """Planner settings with the interaction weights taken from the

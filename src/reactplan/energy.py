@@ -172,31 +172,50 @@ class EnergyTables:
                    goal=np.asarray(data["goal"]))
 
 
-def extract_features_batch(candidates: CandidateSet, lane: Polyline,
-                           ref_speed: float) -> np.ndarray:
-    """Feature matrix (K, 6) of one vehicle's candidates."""
-    pos, heads, speeds = candidates.positions, candidates.headings, candidates.speeds
-    k, T = speeds.shape
-    dt = candidates.dt
+def extract_features_batch(candidates: Sequence[CandidateSet],
+                           lanes: Sequence[Polyline],
+                           ref_speeds: Sequence[float]) -> np.ndarray:
+    """Feature tensor (M, K, 6) of M vehicles' candidate sets, vehicle i
+    against ``lanes[i]`` and ``ref_speeds[i]``. The sets share K, horizon and
+    dt. Each distinct lane object projects the waypoints of all its vehicles
+    in one call."""
+    if not len(candidates) == len(lanes) == len(ref_speeds):
+        raise ValueError("candidates, lanes, ref_speeds must align")
+    _shared_k(candidates)
+    poses = np.stack([c.poses for c in candidates])             # (M, K, T, 3)
+    speeds = np.stack([c.speeds for c in candidates])           # (M, K, T)
+    pos, heads = poses[..., :2], poses[..., 2]
+    T = speeds.shape[-1]
+    dt = candidates[0].dt
 
-    dist, arclen = lane.project_many(pos.reshape(-1, 2))
-    dist = dist.reshape(k, T)
-    arclen = arclen.reshape(k, T)
-    tangents = lane.tangent_at(arclen.reshape(-1)).reshape(k, T)
+    dist, arclen, tangents = (np.empty(speeds.shape) for _ in range(3))
+    on_lane: dict[int, list[int]] = {}
+    for i, lane in enumerate(lanes):
+        on_lane.setdefault(id(lane), []).append(i)
+    for rows in on_lane.values():
+        lane = lanes[rows[0]]
+        d, s = lane.project_many(pos[rows].reshape(-1, 2))
+        shape = (len(rows), *speeds.shape[1:])
+        dist[rows] = d.reshape(shape)
+        arclen[rows] = s.reshape(shape)
+        tangents[rows] = lane.tangent_at(s).reshape(shape)
 
-    progress = arclen[:, -1] - arclen[:, 0]
-    lateral = dist[:, 1:].mean(axis=1) if T > 1 else dist[:, 0]
-    accel = np.diff(speeds, axis=1) / dt
-    accel_sq = (accel ** 2).mean(axis=1) if T > 1 else np.zeros(k)
-    dheads = wrap_angle(np.diff(heads, axis=1))
-    step_len = np.hypot(*(np.diff(pos, axis=1).transpose(2, 0, 1)))
+    progress = arclen[..., -1] - arclen[..., 0]
+    zeros = np.zeros(speeds.shape[:2])
+    lateral = dist[..., 1:].mean(axis=-1) if T > 1 else dist[..., 0]
+    accel = np.diff(speeds, axis=-1) / dt
+    accel_sq = (accel ** 2).mean(axis=-1) if T > 1 else zeros
+    dheads = wrap_angle(np.diff(heads, axis=-1))
+    steps = np.diff(pos, axis=2)
+    step_len = np.hypot(steps[..., 0], steps[..., 1])
     curv = np.where(step_len > 1e-6, dheads / np.maximum(step_len, 1e-6), 0.0)
-    curv_sq = (curv ** 2).mean(axis=1) if T > 1 else np.zeros(k)
-    speed_dev = np.abs(speeds[:, -1] - ref_speed)
+    curv_sq = (curv ** 2).mean(axis=-1) if T > 1 else zeros
+    speed_dev = np.abs(speeds[..., -1] - np.asarray(ref_speeds, dtype=float)[:, None])
     align_slice = slice(1, None) if T > 1 else slice(None)
-    alignment = np.abs(wrap_angle(heads[:, align_slice] - tangents[:, align_slice])).mean(axis=1)
+    alignment = np.abs(wrap_angle(heads[..., align_slice]
+                                  - tangents[..., align_slice])).mean(axis=-1)
 
-    return np.stack([progress, lateral, accel_sq, curv_sq, speed_dev, alignment], axis=1)
+    return np.stack([progress, lateral, accel_sq, curv_sq, speed_dev, alignment], axis=-1)
 
 
 def goal_energy_batch(candidates: CandidateSet, goal) -> np.ndarray:
@@ -345,9 +364,8 @@ def build_tables(candidates: Sequence[CandidateSet],
         raise ValueError("candidates, boxes, lanes, ref_speeds must align")
     # interaction_tables validates the candidate grid, so it runs first
     pairwise = interaction_tables(candidates, boxes, params.gamma, params.d_safe)
-    unary = np.stack([
-        extract_features_batch(cands, lanes[i], ref_speeds[i])
-        @ (params.w_ego if i == 0 else params.w_actor)
-        for i, cands in enumerate(candidates)])
+    feats = extract_features_batch(candidates, lanes, ref_speeds)
+    unary = np.stack([f @ (params.w_ego if i == 0 else params.w_actor)
+                      for i, f in enumerate(feats)])
     goal_vec = goal_energy_batch(candidates[0], goal)
     return EnergyTables(unary=unary, pairwise=pairwise, goal=goal_vec)

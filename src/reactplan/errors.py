@@ -2,12 +2,13 @@
 import numbers
 
 
-def check_counts(**counts) -> None:
-    """Raise ValueError unless every keyword's value is an integer >= 1."""
+def check_counts(minimum: int = 1, /, **counts) -> None:
+    """Raise ValueError unless every keyword's value is an integer (not a
+    bool) >= ``minimum``."""
     for name, value in counts.items():
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                or value < minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class ReactplanError(Exception):

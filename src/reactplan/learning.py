@@ -21,7 +21,8 @@ import numpy as np
 
 from .energy import (BoxDims, EnergyParams, N_FEATURES, extract_features_batch,
                      interaction_tables, EnergyTables)
-from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure)
+from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure,
+                     check_counts)
 from .geometry import Polyline
 from .inference import (LbpConfig, MarginalSet, edge_potentials, lbp_pass, _lse,
                         _softmax)
@@ -92,10 +93,8 @@ class TrainConfig:
             raise ValueError("training requires fixed-iteration message passing")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.k_ignore < 0:
-            raise ValueError(f"k_ignore must be >= 0, got {self.k_ignore}")
+        check_counts(epochs=self.epochs)
+        check_counts(0, k_ignore=self.k_ignore)
         if math.isnan(self.divergence_threshold):
             raise ValueError("divergence_threshold must not be NaN")
 
@@ -207,10 +206,7 @@ def features_and_pairwise(example: TrainingExample, sampler_cfg: SamplerConfig,
                           params: EnergyParams):
     """Candidate sets, feature tensor (M, K, F) and fixed pairwise energies."""
     candidates = example_candidates(example, sampler_cfg)
-    feats = np.stack([
-        extract_features_batch(cands, lane, ref)
-        for cands, lane, ref in zip(candidates, example.lanes, example.ref_speeds)
-    ])
+    feats = extract_features_batch(candidates, example.lanes, example.ref_speeds)
     pairwise = interaction_tables(candidates, example.boxes,
                                   params.gamma, params.d_safe)
     return candidates, feats, pairwise
@@ -336,7 +332,7 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
         lane = Polyline([origin, origin + lane_length * direction])
         ex_seed = int(rng.integers(0, 2 ** 31))
 
-        pasts, futures, lanes, refs, boxes = [], [], [], [], []
+        pasts, candidates, refs = [], [], []
         for a in range(n_actors):
             s0 = 15.0 + 45.0 * a + rng.uniform(0.0, 10.0)
             lateral = rng.normal(0.0, 0.6)
@@ -350,17 +346,16 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
             past = Trajectory(start_time=-3 * sampler_cfg.dt, dt=sampler_cfg.dt,
                               poses=poses, speeds=np.full(4, speed))
             cfg = replace(sampler_cfg, seed=derived_seed(ex_seed, a))
-            cands = sample_candidates(estimate_state(past), cfg)
-            feats = extract_features_batch(cands, lane, ref_speed)
-            gt_idx = int(np.argmin(feats[:, 1] + feats[:, 4]))
             pasts.append(past)
-            futures.append(cands[gt_idx])
-            lanes.append(lane)
+            candidates.append(sample_candidates(estimate_state(past), cfg))
             refs.append(ref_speed)
-            boxes.append(BoxDims(2.25, 0.9))
-        examples.append(TrainingExample(pasts=pasts, futures=futures,
-                                        lanes=lanes, ref_speeds=refs,
-                                        boxes=boxes, seed=ex_seed))
+        lanes = [lane] * n_actors
+        feats = extract_features_batch(candidates, lanes, refs)
+        gt_idx = np.argmin(feats[..., 1] + feats[..., 4], axis=1)
+        examples.append(TrainingExample(
+            pasts=pasts, futures=[c[int(g)] for c, g in zip(candidates, gt_idx)],
+            lanes=lanes, ref_speeds=refs, boxes=[BoxDims(2.25, 0.9)] * n_actors,
+            seed=ex_seed))
     return examples
 
 

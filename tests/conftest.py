@@ -489,6 +489,33 @@ def draw_controls_reference(cfg, index):
     return mode, accel, curvature, rate
 
 
+def extract_features_reference(candidates, lane, ref_speed):
+    """Per-vehicle reference for ``energy.extract_features_batch``: the
+    feature matrix (K, 6) of one candidate set against its own lane."""
+    pos, heads, speeds = candidates.positions, candidates.headings, candidates.speeds
+    k, T = speeds.shape
+    dt = candidates.dt
+
+    dist, arclen = lane.project_many(pos.reshape(-1, 2))
+    dist = dist.reshape(k, T)
+    arclen = arclen.reshape(k, T)
+    tangents = lane.tangent_at(arclen.reshape(-1)).reshape(k, T)
+
+    progress = arclen[:, -1] - arclen[:, 0]
+    lateral = dist[:, 1:].mean(axis=1) if T > 1 else dist[:, 0]
+    accel = np.diff(speeds, axis=1) / dt
+    accel_sq = (accel ** 2).mean(axis=1) if T > 1 else np.zeros(k)
+    dheads = wrap_angle(np.diff(heads, axis=1))
+    step_len = np.hypot(*(np.diff(pos, axis=1).transpose(2, 0, 1)))
+    curv = np.where(step_len > 1e-6, dheads / np.maximum(step_len, 1e-6), 0.0)
+    curv_sq = (curv ** 2).mean(axis=1) if T > 1 else np.zeros(k)
+    speed_dev = np.abs(speeds[:, -1] - ref_speed)
+    align_slice = slice(1, None) if T > 1 else slice(None)
+    alignment = np.abs(wrap_angle(heads[:, align_slice] - tangents[:, align_slice])).mean(axis=1)
+
+    return np.stack([progress, lateral, accel_sq, curv_sq, speed_dev, alignment], axis=1)
+
+
 def integrate_controls_reference(state, accel, kappa0, rate, cfg):
     """Substep-by-substep reference for ``sampler._rollout``: poses (n, T, 3)
     and speeds (n, T) of the control arrays, each (n,)."""

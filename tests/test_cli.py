@@ -45,6 +45,18 @@ class TestConfigRoundTrip:
         np.testing.assert_array_equal(loaded.energy.w_ego, cfg.energy.w_ego)
 
 
+class TestRunConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 2.5), ("seed", True), ("n_variants", 0),
+        ("n_variants", 2.5), ("set_size", 0), ("set_size", 2.5), ("set_size", True)])
+    def test_rejects_bad_seed_and_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(**{field: value})
+
+    def test_accepts_seed_zero_and_no_set_size(self):
+        assert RunConfig(seed=0, set_size=None, n_variants=1).seed == 0
+
+
 class TestCmdSample:
     def test_writes_expected_rows(self, tmp_path, scenario_file, small_config):
         out = tmp_path / "out"
@@ -111,6 +123,33 @@ class TestCmdInfer:
         assert len(tables["unary"]) == 7 * 6
 
 
+
+class TestSeedOption:
+    @pytest.mark.parametrize("command", ["sample", "plan"])
+    def test_negative_seed_exits_2(self, tmp_path, scenario_file, capsys, command):
+        code = main(["--seed", "-1", "--out", str(tmp_path / "o"), command,
+                     str(scenario_file)])
+        assert code == 2
+        assert "--seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,value", [(None, -1), ("sampler", -1),
+                                               ("sampler", 2.5)])
+    def test_bad_config_seed_exits_2(self, tmp_path, scenario_file, capsys,
+                                     section, value):
+        cfg = RunConfig().to_dict()
+        (cfg if section is None else cfg[section])["seed"] = value
+        bad = tmp_path / "bad_config.json"
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"),
+                     "sample", str(scenario_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and "seed must be an integer >= 0" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestCmdPlan:
     def test_writes_plan_json(self, tmp_path, scenario_file, small_config):
         out = tmp_path / "out"
@@ -161,6 +200,19 @@ class TestCmdPlan:
                      "plan", str(scenario_file)])
         assert code == 2
         assert "malformed config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fractional_set_size_exits_2(self, tmp_path, scenario_file, capsys):
+        cfg = RunConfig().to_dict()
+        cfg["variant"], cfg["set_size"] = "interpolated", 2.5
+        bad = tmp_path / "bad_config.json"
+        with open(bad, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o"),
+                     "plan", str(scenario_file)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and "set_size must be an integer >= 1" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -333,6 +385,19 @@ class TestCmdSimulate:
         err = capsys.readouterr().err
         assert "malformed config file" in err
         assert f"{key} must be an integer >= 1" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_variants_in_config_exits_2(self, tmp_path, capsys):
+        config = self._one_variant_config(tmp_path)
+        cfg = json.loads(config.read_text())
+        cfg["n_variants"] = 0
+        config.write_text(json.dumps(cfg))
+        code = main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     "simulate", "--templates",
+                     str(self._template_dir(tmp_path, timer=0.2))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and "n_variants must be an integer >= 1" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_templates_exits_2(self, tmp_path):

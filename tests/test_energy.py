@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (candidate_set, collision_energy,
+from conftest import (candidate_set, collision_energy, extract_features_reference,
                       interaction_tables_reference, point_to_box_distance,
                       random_scene, safety_energy, stationary_trajectory,
                       straight_trajectory)
 from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
                               build_tables, extract_features_batch,
                               goal_energy_batch, interaction_tables)
+from reactplan.cli import _scene_inputs
+from reactplan.config import RunConfig
 from reactplan.errors import DimensionMismatch, HorizonMismatch
 from reactplan.geometry import OrientedBox, Polyline, Pose2
 from reactplan.sampler import Trajectory
+from reactplan.scenarios import builtin_templates
 
 CAR = BoxDims(2.0, 1.0)
 
@@ -28,7 +31,7 @@ class TestExtractFeatures:
     def test_lane_tracing_trajectory(self):
         lane = straight_lane()
         traj = straight_trajectory((0, 0), 0.0, 6.0)
-        f = extract_features_batch(candidate_set([traj]), lane, ref_speed=6.0)[0]
+        f = extract_features_batch([candidate_set([traj])], [lane], [6.0])[0, 0]
         progress, lateral, accel_sq, curv_sq, speed_dev, align = f
         assert lateral == pytest.approx(0.0, abs=1e-12)
         assert align == pytest.approx(0.0, abs=1e-12)
@@ -37,23 +40,85 @@ class TestExtractFeatures:
 
     def test_stationary_trajectory(self):
         traj = stationary_trajectory((2.0, 1.0))
-        f = extract_features_batch(candidate_set([traj]), straight_lane(), 5.0)[0]
+        f = extract_features_batch([candidate_set([traj])], [straight_lane()], [5.0])[0, 0]
         assert f[0] == pytest.approx(0.0)   # progress
         assert f[2] == pytest.approx(0.0)   # accel
         assert f[4] == pytest.approx(5.0)   # speed deviation
 
     def test_constant_offset(self):
         traj = straight_trajectory((0, 2.0), 0.0, 5.0)
-        f = extract_features_batch(candidate_set([traj]), straight_lane(), 5.0)[0]
+        f = extract_features_batch([candidate_set([traj])], [straight_lane()], [5.0])[0, 0]
         assert f[1] == pytest.approx(2.0, abs=1e-9)
+
+
+class TestExtractFeaturesBatch:
+    # one batched call equals the per-vehicle oracle bit for bit
+
+    @staticmethod
+    def assert_matches_oracle(candidates, lanes, refs):
+        got = extract_features_batch(candidates, lanes, refs)
+        assert got.shape == (len(candidates), len(candidates[0]), 6)
+        for i, cands in enumerate(candidates):
+            assert np.array_equal(got[i], extract_features_reference(cands, lanes[i], refs[i]))
+
+    @staticmethod
+    def curved_lane(rng):
+        angles = np.linspace(0.0, rng.uniform(0.5, 2.0), 25)
+        radius = rng.uniform(20.0, 60.0)
+        return Polyline(np.column_stack([radius * np.sin(angles),
+                                         radius * (1.0 - np.cos(angles))]) - 10.0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 8, 15])
+    def test_vehicles_sharing_lane_objects(self, steps):
+        rng = np.random.default_rng(31 + steps)
+        for _ in range(5):
+            candidates, _, lanes, refs = random_scene(rng, n_actors=6, k=5, steps=steps)
+            shared = [lanes[0], self.curved_lane(rng)]
+            self.assert_matches_oracle(candidates, [shared[i % 2] for i in range(7)], refs)
+            self.assert_matches_oracle(candidates, [shared[1]] * 7, refs)
+
+    @pytest.mark.parametrize("steps", [1, 2, 8, 15])
+    def test_every_vehicle_on_its_own_lane(self, steps):
+        rng = np.random.default_rng(41 + steps)
+        for _ in range(5):
+            candidates, _, lanes, refs = random_scene(rng, n_actors=4, k=6, steps=steps)
+            lanes[1] = self.curved_lane(rng)
+            self.assert_matches_oracle(candidates, lanes, refs)
+
+    @pytest.mark.parametrize("steps", [1, 8])
+    def test_single_vehicle(self, steps):
+        rng = np.random.default_rng(51 + steps)
+        candidates, _, lanes, refs = random_scene(rng, n_actors=0, k=7, steps=steps)
+        self.assert_matches_oracle(candidates, lanes, refs)
+        self.assert_matches_oracle(candidates, [self.curved_lane(rng)], refs)
+
+    @pytest.mark.parametrize("name", sorted(builtin_templates()))
+    def test_build_tables_unary_on_builtin_template(self, name):
+        scenario = builtin_templates()[name]
+        cfg = RunConfig(seed=3)
+        candidates, tables = _scene_inputs(scenario, cfg)
+        vehicles = [(scenario.ego.route, scenario.ego.ref_speed)] + [
+            (a.route, a.behavior.desired_speed) for a in scenario.actors]
+        lanes = [scenario.lanes[route].line for route, _ in vehicles]
+        assert len({id(lane) for lane in lanes}) < len(lanes)
+        params = cfg.energy
+        want = np.stack([
+            extract_features_reference(c, lane, ref)
+            @ (params.w_ego if i == 0 else params.w_actor)
+            for i, (c, lane, (_, ref)) in enumerate(zip(candidates, lanes, vehicles))])
+        assert np.array_equal(tables.unary, want)
+
+    def test_rejects_misaligned_inputs(self):
+        candidates, _, lanes, refs = random_scene(np.random.default_rng(2), n_actors=2)
+        with pytest.raises(ValueError, match="must align"):
+            extract_features_batch(candidates, lanes[:2], refs)
 
 
 def unary_scene():
     """A fixed three-vehicle scene and its (M, K, F) feature tensor."""
     candidates, boxes, lanes, refs = random_scene(np.random.default_rng(6),
                                                   n_actors=2, k=4)
-    feats = np.stack([extract_features_batch(c, lane, ref)
-                      for c, lane, ref in zip(candidates, lanes, refs)])
+    feats = extract_features_batch(candidates, lanes, refs)
     return (candidates, boxes, lanes, refs), feats
 
 
@@ -266,8 +331,8 @@ class TestBuildTables:
             m, k = tables.unary.shape
             for i in range(m):
                 for a in range(k):
-                    f = extract_features_batch(candidate_set([candidates[i][a]]),
-                                               lanes[i], refs[i])[0]
+                    f = extract_features_batch([candidate_set([candidates[i][a]])],
+                                               [lanes[i]], [refs[i]])[0, 0]
                     expected = f @ (params.w_ego if i == 0 else params.w_actor)
                     assert tables.unary[i, a] == pytest.approx(expected, abs=1e-12)
             for i in range(m):

@@ -248,6 +248,8 @@ class TestTrain:
             train(EnergyParams(), data, SCFG, cfg)
 
     @pytest.mark.parametrize("option", [{"epochs": 0}, {"k_ignore": -3},
+                                        {"epochs": 2.5}, {"k_ignore": 1.5},
+                                        {"epochs": True}, {"k_ignore": True},
                                         {"lr": -0.1}, {"lr": math.nan},
                                         {"lr": math.inf},
                                         {"divergence_threshold": math.nan}])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (candidate_set, draw_controls_reference,
                       integrate_controls_reference, stationary_trajectory,
@@ -11,8 +13,8 @@ from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL, CandidateSet,
                                KinematicState, SamplerConfig, Trajectory,
-                               _draw_control_arrays, _rollout, estimate_state,
-                               nearest_candidates, sample_candidates)
+                               _draw_control_arrays, _pcg64_words, _rollout,
+                               estimate_state, nearest_candidates, sample_candidates)
 
 
 def make_past(step_lengths, dt=0.1, heading=0.0):
@@ -132,14 +134,17 @@ class TestIntegrateControlsMatchesReference:
             poses, speeds = _rollout(state, *controls, cfg)
             want_poses, want_speeds = integrate_controls_reference(state, *controls, cfg)
             got = sample_candidates(state, cfg, start_time=1.5)
-            assert len(poses) == len(want_poses) == cfg.k - 1
+            assert len(poses) == len(want_poses) + 1 == cfg.k
             assert got.start_time == 1.5 and got.dt == cfg.dt
-            assert np.array_equal(got.poses[1:], poses)
-            assert np.array_equal(got.speeds[1:], speeds)
-            assert np.array_equal(poses, want_poses)
-            assert np.array_equal(speeds, want_speeds)
-            clipped_low += np.any(speeds[:, 1:] == 0.0, axis=1).sum()
-            clipped_high += np.any(speeds[:, 1:] == cfg.v_max, axis=1).sum()
+            assert np.array_equal(got.poses, poses)
+            assert np.array_equal(got.speeds, speeds)
+            assert np.array_equal(poses[1:], want_poses)
+            assert np.array_equal(speeds[1:], want_speeds)
+            assert np.array_equal(poses[0], np.tile(
+                [state.pose.x, state.pose.y, state.pose.heading], (cfg.horizon_steps, 1)))
+            assert np.array_equal(speeds[0], np.zeros(cfg.horizon_steps))
+            clipped_low += np.any(speeds[1:, 1:] == 0.0, axis=1).sum()
+            clipped_high += np.any(speeds[1:, 1:] == cfg.v_max, axis=1).sum()
         assert clipped_low > 0 and clipped_high > 0
 
     def test_single_waypoint_horizon(self):
@@ -148,15 +153,21 @@ class TestIntegrateControlsMatchesReference:
         controls = _draw_control_arrays(cfg, range(1, cfg.k))[1:]
         poses, speeds = _rollout(state, *controls, cfg)
         want_poses, want_speeds = integrate_controls_reference(state, *controls, cfg)
-        assert poses.shape == (cfg.k - 1, 1, 3)
-        assert np.array_equal(poses, want_poses)
-        assert np.array_equal(speeds, want_speeds)
+        assert poses.shape == (cfg.k, 1, 3)
+        assert np.array_equal(poses[1:], want_poses)
+        assert np.array_equal(speeds[1:], want_speeds)
+        assert np.array_equal(poses[0], [[3.0, -2.0, state.pose.heading]])
+        assert speeds[0, 0] == 0.0
 
 
 class TestDrawControlsMatchesReference:
     def test_bit_identical_to_one_generator_per_candidate(self):
         modes = set()
-        for seed in (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3):
+        # 2**64 + 5 has three entropy words with the index; 2**96 + 7 and
+        # 2**200 + 1 have five and eight, past the pool's four, so they reach
+        # SeedSequence's extra-entropy mixing
+        for seed in (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 5,
+                     2 ** 96 + 7, 2 ** 200 + 1):
             for probs in ((0.3, 0.2, 0.5), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                           (0.0, 0.0, 1.0)):
                 cfg = SamplerConfig(k=19, seed=seed, mode_probs=probs,
@@ -180,6 +191,40 @@ class TestDrawControlsMatchesReference:
             assert len(mode) == k - 1
             for n, c in enumerate(singles[:k - 1]):
                 assert (mode[n], accel[n], curvature[n], rate[n]) == c
+
+
+class TestPcg64Words:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 160 - 1),
+           indices=st.lists(st.integers(0, 2 ** 32 - 1), max_size=24))
+    def test_equals_numpy_generator_words(self, seed, indices):
+        want = np.array([np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(4)
+                         for i in indices], dtype=np.uint64).reshape(-1, 4)
+        got = _pcg64_words(seed, indices)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("indices", [[-1], [2 ** 32], [3, 2 ** 40]])
+    def test_rejects_indices_outside_one_word(self, indices):
+        with pytest.raises(ValueError, match="indices"):
+            _pcg64_words(5, indices)
+
+    def test_sampling_builds_no_generator_objects(self, monkeypatch):
+        built = dict.fromkeys(("SeedSequence", "PCG64", "default_rng", "Generator"), 0)
+        for name in built:
+            real = getattr(np.random, name)
+
+            def counting(*args, name=name, real=real, **kwargs):
+                built[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counting)
+        np.random.PCG64(np.random.SeedSequence(1))        # the counters count
+        assert built["SeedSequence"] == built["PCG64"] == 1
+        built.update(dict.fromkeys(built, 0))
+        state = KinematicState(Pose2(1.0, -2.0, 0.7), speed=6.0)
+        cands = sample_candidates(state, SamplerConfig(k=16, seed=2 ** 40 + 3))
+        assert len(cands) == 16
+        assert built == dict.fromkeys(built, 0)
 
 
 class TestTrajectoryValidation:
@@ -225,7 +270,8 @@ class TestSamplerConfigValidation:
         {"v_max": math.nan}, {"k": 0}, {"mode_probs": (math.nan, 0.5, 0.5)},
         {"mode_probs": (0.5, 0.5, 0.5)}, {"accel_range": (1.0, -1.0)},
         {"curvature_range": (math.nan, 0.2)}, {"k": 2.5}, {"horizon_steps": 0},
-        {"horizon_steps": 8.0}])
+        {"horizon_steps": 8.0}, {"seed": -1}, {"seed": 2.5}, {"seed": True},
+        {"seed": 7.0}, {"seed": "3"}, {"seed": None}])
     def test_rejects_bad_options(self, option):
         with pytest.raises(ValueError):
             SamplerConfig(**option)
