@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, HorizonMismatch
+from .errors import DimensionMismatch, HorizonMismatch, check_weights
 from .geometry import (Polyline, boxes_overlap_grid, point_to_box_distance_grid,
                        wrap_angle)
 from .sampler import CandidateSet
@@ -86,10 +86,9 @@ class EnergyParams:
                 f"{w_actor.shape}")
         if not (np.all(np.isfinite(w_ego)) and np.all(np.isfinite(w_actor))):
             raise ValueError("weights must be finite")
-        if self.gamma <= 0 or self.d_safe <= 0:
-            raise ValueError("gamma and d_safe must be positive")
-        if self.lambda_b < 0 or self.lambda_c < 0 or self.w_goal < 0:
-            raise ValueError("planning weights must be non-negative")
+        check_weights(True, gamma=self.gamma, d_safe=self.d_safe)
+        check_weights(lambda_b=self.lambda_b, lambda_c=self.lambda_c,
+                      w_goal=self.w_goal)
         object.__setattr__(self, "w_ego", w_ego)
         object.__setattr__(self, "w_actor", w_actor)
 
@@ -348,6 +347,14 @@ def interaction_tables(candidates: Sequence[CandidateSet],
     return pairwise
 
 
+def unary_energies(feats: np.ndarray, params: EnergyParams) -> np.ndarray:
+    """Unary energies (M, K) of features (M, K, F): row 0 (the ego) under
+    ``w_ego``, every other row under ``w_actor``."""
+    unary = feats @ params.w_actor
+    unary[0] = feats[0] @ params.w_ego
+    return unary
+
+
 def build_tables(candidates: Sequence[CandidateSet],
                  boxes: Sequence[BoxDims],
                  lanes: Sequence[Polyline],
@@ -365,7 +372,6 @@ def build_tables(candidates: Sequence[CandidateSet],
     # interaction_tables validates the candidate grid, so it runs first
     pairwise = interaction_tables(candidates, boxes, params.gamma, params.d_safe)
     feats = extract_features_batch(candidates, lanes, ref_speeds)
-    unary = np.stack([f @ (params.w_ego if i == 0 else params.w_actor)
-                      for i, f in enumerate(feats)])
+    unary = unary_energies(feats, params)
     goal_vec = goal_energy_batch(candidates[0], goal)
     return EnergyTables(unary=unary, pairwise=pairwise, goal=goal_vec)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the check for count fields."""
+"""Exception types shared across the package, and the checks for count and
+weight fields."""
+import math
 import numbers
 
 
@@ -9,6 +11,15 @@ def check_counts(minimum: int = 1, /, **counts) -> None:
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or value < minimum):
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_weights(positive: bool = False, /, **weights) -> None:
+    """Raise ValueError unless every keyword's value is finite and >= 0, or
+    > 0 with ``positive``."""
+    for name, value in weights.items():
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            bound = "> 0" if positive else ">= 0"
+            raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 class ReactplanError(Exception):

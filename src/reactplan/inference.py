@@ -30,7 +30,8 @@ import numpy as np
 
 from .energy import EnergyTables
 from .errors import (DegenerateCondition, EmptyConditioningSet,
-                     NumericalFailure, StateSpaceTooLarge, check_counts)
+                     NumericalFailure, StateSpaceTooLarge, check_counts,
+                     check_weights)
 
 MAX_JOINT_STATES = 10_000_000
 DEGENERATE_MASS = 1e-12      # ego mass at or below which conditioning is refused
@@ -46,8 +47,7 @@ class LbpConfig:
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        check_weights(True, tol=self.tol)
         check_counts(max_iters=self.max_iters)
 
     def to_dict(self) -> dict:

@@ -7,9 +7,9 @@ every update. Interaction energies stay fixed; only the two unary weight
 vectors are trained.
 
 Near-ground-truth candidates (the ignore set) are excluded from the
-normalizer of the predictive distribution by default, so the loss never
-penalizes candidates that could stand in for the ground truth; the raw
-(unrenormalized) reading is available behind a flag.
+normalizer of the predictive distribution, so the loss never penalizes
+candidates that could stand in for the ground truth; ``k_ignore = 0`` gives
+plain cross-entropy.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import (BoxDims, EnergyParams, N_FEATURES, extract_features_batch,
-                     interaction_tables, EnergyTables)
+from .energy import (BoxDims, EnergyParams, EnergyTables, N_FEATURES,
+                     extract_features_batch, interaction_tables, unary_energies)
 from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure,
-                     check_counts)
+                     check_counts, check_weights)
 from .geometry import Polyline
 from .inference import (LbpConfig, MarginalSet, edge_potentials, lbp_pass, _lse,
                         _softmax)
@@ -83,7 +83,6 @@ class TrainConfig:
     lr: float = 0.05
     epochs: int = 40
     k_ignore: int = 2
-    renormalize_ignored: bool = True
     lbp: LbpConfig = field(default_factory=lambda: LbpConfig(
         max_iters=15, fixed_iterations=True))
     divergence_threshold: float = 1e10
@@ -91,8 +90,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lbp.fixed_iterations:
             raise ValueError("training requires fixed-iteration message passing")
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
+        check_weights(lr=self.lr)
         check_counts(epochs=self.epochs)
         check_counts(0, k_ignore=self.k_ignore)
         if math.isnan(self.divergence_threshold):
@@ -117,140 +115,123 @@ def label_and_ignore(candidates: list[CandidateSet],
     return labels
 
 
-def _node_loss(log_marg, labels, k, renorm, d_log_marg=None):
-    total = 0.0
-    clipped = False
-    grad = None if d_log_marg is None else np.zeros(d_log_marg.shape[0])
-    for i, (gt_idx, ignore) in enumerate(labels):
-        keep = np.array([a for a in range(k) if a not in ignore])
-        logp = log_marg[i, gt_idx]
-        dlogp = None if grad is None else d_log_marg[:, i, gt_idx].copy()
-        if renorm and len(keep) < k:
-            row = log_marg[i, keep]
-            logp = logp - _lse(row, axis=0)
-            if grad is not None:
-                w = _softmax(row, axis=0)
-                dlogp -= np.einsum("a,pa->p", w, d_log_marg[:, i, keep])
-        if logp < LOG_CLIP:
-            logp = LOG_CLIP
-            clipped = True
-            if dlogp is not None:
-                dlogp[:] = 0.0
-        total += -(1.0 / k) * logp
-        if grad is not None:
-            grad += -(1.0 / k) * dlogp
-    return total, grad, clipped
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis one term after another, as a running total does
+    (np.sum groups terms pairwise); 0 over no terms."""
+    return np.cumsum(terms, axis=-1)[..., -1:].sum(axis=-1)
 
 
-def _edge_loss(lpb, labels, k, renorm, d_lpb=None):
-    m = len(labels)
-    total = 0.0
-    clipped = False
-    grad = None if d_lpb is None else np.zeros(d_lpb.shape[0])
-    for i in range(m):
-        for j in range(i + 1, m):
-            gt_i, ign_i = labels[i]
-            gt_j, ign_j = labels[j]
-            block = lpb[i, j]
-            logp = block[gt_i, gt_j]
-            dlogp = None if grad is None else d_lpb[:, i, j, gt_i, gt_j].copy()
-            if renorm and (ign_i or ign_j):
-                keep_i = np.array([a for a in range(k) if a not in ign_i])
-                keep_j = np.array([b for b in range(k) if b not in ign_j])
-                sub = block[np.ix_(keep_i, keep_j)].reshape(-1)
-                logp = logp - _lse(sub, axis=0)
-                if grad is not None:
-                    w = _softmax(sub, axis=0)
-                    dsub = d_lpb[:, i, j][:, keep_i][:, :, keep_j]
-                    dlogp -= np.einsum("c,pc->p", w,
-                                       dsub.reshape(dsub.shape[0], -1))
-            if logp < LOG_CLIP:
-                logp = LOG_CLIP
-                clipped = True
-                if dlogp is not None:
-                    dlogp[:] = 0.0
-            total += -(1.0 / k ** 2) * logp
-            if grad is not None:
-                grad += -(1.0 / k ** 2) * dlogp
-    return total, grad, clipped
+def _cross_entropy(log_p, gt, dropped, scale, d_log_p=None):
+    """Summed -scale * log p(gt) over the R rows of log probabilities (R, C).
+
+    A row with a dropped column is renormalized over its kept columns.
+    Probabilities below 1e-30 are clipped to it, and a clipped row gets a
+    zero tangent. With tangents ``d_log_p`` (P, R, C) the tangent of the sum
+    (P,) comes back too. Returns (total, tangent or None, any row clipped).
+    """
+    rows = np.arange(len(gt))
+    logp = log_p[rows, gt]
+    renorm = dropped.any(axis=1)
+    kept = np.where(dropped[renorm], -np.inf, log_p[renorm])
+    logp[renorm] -= _lse(kept, axis=1)
+    clipped = logp < LOG_CLIP
+    logp[clipped] = LOG_CLIP
+    total = _sum_in_order(-scale * logp)
+    if d_log_p is None:
+        return total, None, bool(clipped.any())
+    dlogp = d_log_p[:, rows, gt]
+    dlogp[:, renorm] -= np.einsum("rc,prc->pr", _softmax(kept, axis=1),
+                                  d_log_p[:, renorm])
+    dlogp[:, clipped] = 0.0
+    return total, _sum_in_order(-scale * dlogp), bool(clipped.any())
+
+
+def _loss_report(log_marg, lpb, labels, d_log_marg=None, d_lpb=None) -> LossReport:
+    """Node and edge cross-entropy of ``labels`` under log marginals (M, K)
+    and log pairwise beliefs (M, M, K, K), with the weight gradient when
+    their tangents (P, M, K) and (P, M, M, K, K) are given.
+
+    The edge rows are the unordered pairs i < j in row-major order, each
+    (K, K) block flattened with target gt_i K + gt_j.
+    """
+    m, k = log_marg.shape
+    gt = np.array([g for g, _ in labels], dtype=int)
+    dropped = np.zeros((m, k), dtype=bool)             # the ignore sets
+    for row, (_, ignore) in enumerate(labels):
+        dropped[row, list(ignore)] = True
+    node, g_node, clip_node = _cross_entropy(log_marg, gt, dropped, 1.0 / k,
+                                             d_log_marg)
+    i, j = np.triu_indices(m, 1)
+
+    def pair_rows(a):
+        return a[..., i, j, :, :].reshape(a.shape[:-4] + (len(i), k * k))
+
+    edge, g_edge, clip_edge = _cross_entropy(
+        pair_rows(lpb), gt[i] * k + gt[j],
+        (dropped[i, :, None] | dropped[j, None, :]).reshape(len(i), k * k),
+        1.0 / k ** 2, None if d_lpb is None else pair_rows(d_lpb))
+    return LossReport(total=float(node + edge), node_term=float(node),
+                      edge_term=float(edge),
+                      gradient=None if d_log_marg is None else g_node + g_edge,
+                      clipped=clip_node or clip_edge)
 
 
 def loss(tables: EnergyTables, ms: MarginalSet,
-         labels: list[tuple[int, tuple[int, ...]]],
-         renormalize_ignored: bool = True) -> LossReport:
+         labels: list[tuple[int, tuple[int, ...]]]) -> LossReport:
     """Cross-entropy of the ground-truth assignment under the model beliefs.
 
-    Node term per actor: -(1/K) log p(y_i = gt_i); edge term per pair:
-    -(1/K^2) log p(y_i = gt_i, y_j = gt_j). Probabilities below 1e-30 are
-    clipped and flagged.
+    Node term per actor: -(1/K) log p(y_i = gt_i); edge term per unordered
+    pair: -(1/K^2) log p(y_i = gt_i, y_j = gt_j). A term whose labels ignore
+    candidates is renormalized over the rest. Probabilities below 1e-30 are
+    clipped and flagged. ``tables`` is the scene the beliefs belong to.
     """
-    k = tables.k
-    node, _, clip_a = _node_loss(ms.log_marginals, labels, k, renormalize_ignored)
-    edge, _, clip_b = _edge_loss(ms.log_pairwise_beliefs, labels, k,
-                                 renormalize_ignored)
-    return LossReport(total=node + edge, node_term=node, edge_term=edge,
-                      clipped=clip_a or clip_b)
+    return _loss_report(ms.log_marginals, ms.log_pairwise_beliefs, labels)
 
 
-def example_candidates(example: TrainingExample,
+def example_candidates(pasts: list[Trajectory], seed: int,
                        sampler_cfg: SamplerConfig) -> list[CandidateSet]:
-    out = []
-    for i, past in enumerate(example.pasts):
-        state = estimate_state(past)
-        cfg = replace(sampler_cfg, seed=derived_seed(example.seed, i))
-        out.append(sample_candidates(state, cfg))
-    return out
-
-
-def features_and_pairwise(example: TrainingExample, sampler_cfg: SamplerConfig,
-                          params: EnergyParams):
-    """Candidate sets, feature tensor (M, K, F) and fixed pairwise energies."""
-    candidates = example_candidates(example, sampler_cfg)
-    feats = extract_features_batch(candidates, example.lanes, example.ref_speeds)
-    pairwise = interaction_tables(candidates, example.boxes,
-                                  params.gamma, params.d_safe)
-    return candidates, feats, pairwise
-
-
-def _weights_to_unary(feats: np.ndarray, w_ego: np.ndarray,
-                      w_actor: np.ndarray) -> np.ndarray:
-    unary = feats @ w_actor
-    unary[0] = feats[0] @ w_ego
-    return unary
+    """Candidate sets of the vehicles with these pasts; vehicle i samples with
+    seed ``derived_seed(seed, i)``."""
+    return [sample_candidates(estimate_state(past),
+                              replace(sampler_cfg, seed=derived_seed(seed, i)))
+            for i, past in enumerate(pasts)]
 
 
 def _unary_tangents(feats: np.ndarray) -> np.ndarray:
     """d(log node potential)/d(weights), shape (2F, M, K)."""
     m, k, f = feats.shape
     dot = np.zeros((2 * f, m, k))
-    for p in range(f):
-        dot[p, 0] = -feats[0, :, p]
-        dot[f + p, 1:] = -feats[1:, :, p]
+    dot[:f, 0] = -feats[0].T
+    dot[f:, 1:] = -feats[1:].transpose(2, 0, 1)
     return dot
+
+
+def _beliefs(params: EnergyParams, example: TrainingExample,
+             sampler_cfg: SamplerConfig, k_ignore: int, lbp_cfg: LbpConfig,
+             with_gradient: bool = False):
+    """Labels of an example and the message-passing result under ``params``,
+    with tangents in the 2F weight directions when ``with_gradient``."""
+    candidates = example_candidates(example.pasts, example.seed, sampler_cfg)
+    feats = extract_features_batch(candidates, example.lanes, example.ref_speeds)
+    pairwise = interaction_tables(candidates, example.boxes,
+                                  params.gamma, params.d_safe)
+    labels = label_and_ignore(candidates, example.futures, k_ignore)
+    node_dot = _unary_tangents(feats) if with_gradient else None
+    return labels, lbp_pass(-unary_energies(feats, params),
+                            edge_potentials(pairwise), lbp_cfg, node_dot=node_dot)
 
 
 def example_loss(params: EnergyParams, example: TrainingExample,
                  sampler_cfg: SamplerConfig, train_cfg: TrainConfig,
                  with_gradient: bool = False) -> LossReport:
     """Loss (and optionally its weight gradient) for one example."""
-    candidates, feats, pairwise = features_and_pairwise(example, sampler_cfg, params)
-    labels = label_and_ignore(candidates, example.futures, train_cfg.k_ignore)
-    unary = _weights_to_unary(feats, params.w_ego, params.w_actor)
-    node_dot = _unary_tangents(feats) if with_gradient else None
-    res = lbp_pass(-unary, edge_potentials(pairwise), train_cfg.lbp, node_dot=node_dot)
-    k = unary.shape[1]
-    renorm = train_cfg.renormalize_ignored
-    node, gn, clip_a = _node_loss(res.log_marginals, labels, k, renorm,
-                                  res.d_log_marginals)
-    edge, ge, clip_b = _edge_loss(res.log_pairwise, labels, k, renorm,
-                                  res.d_log_pairwise)
-    grad = None
-    if with_gradient:
-        grad = gn + ge
-        if not np.all(np.isfinite(grad)):
-            raise NumericalFailure("non-finite gradient")
-    return LossReport(total=node + edge, node_term=node, edge_term=edge,
-                      gradient=grad, clipped=clip_a or clip_b)
+    labels, res = _beliefs(params, example, sampler_cfg, train_cfg.k_ignore,
+                           train_cfg.lbp, with_gradient)
+    report = _loss_report(res.log_marginals, res.log_pairwise, labels,
+                          res.d_log_marginals, res.d_log_pairwise)
+    if with_gradient and not np.all(np.isfinite(report.gradient)):
+        raise NumericalFailure("non-finite gradient")
+    return report
 
 
 def batch_loss(params: EnergyParams, batch: list[TrainingExample],
@@ -305,12 +286,9 @@ def train(params0: EnergyParams, dataset: list[TrainingExample],
 def predict_top1(params: EnergyParams, example: TrainingExample,
                  sampler_cfg: SamplerConfig, lbp_cfg: LbpConfig) -> list[bool]:
     """Whether the most probable candidate equals the ground-truth one, per actor."""
-    candidates, feats, pairwise = features_and_pairwise(example, sampler_cfg, params)
-    labels = label_and_ignore(candidates, example.futures, 0)
-    unary = _weights_to_unary(feats, params.w_ego, params.w_actor)
-    res = lbp_pass(-unary, edge_potentials(pairwise), lbp_cfg)
+    labels, res = _beliefs(params, example, sampler_cfg, 0, lbp_cfg)
     pred = np.argmax(res.log_marginals, axis=1)
-    return [int(pred[i]) == gt for i, (gt, _) in enumerate(labels)]
+    return [int(p) == gt for p, (gt, _) in zip(pred, labels)]
 
 
 def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
@@ -332,7 +310,7 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
         lane = Polyline([origin, origin + lane_length * direction])
         ex_seed = int(rng.integers(0, 2 ** 31))
 
-        pasts, candidates, refs = [], [], []
+        pasts, refs = [], []
         for a in range(n_actors):
             s0 = 15.0 + 45.0 * a + rng.uniform(0.0, 10.0)
             lateral = rng.normal(0.0, 0.6)
@@ -345,10 +323,9 @@ def synthetic_dataset(n_examples: int, seed: int, sampler_cfg: SamplerConfig,
             poses = np.column_stack([past_pos, np.full(4, heading)])
             past = Trajectory(start_time=-3 * sampler_cfg.dt, dt=sampler_cfg.dt,
                               poses=poses, speeds=np.full(4, speed))
-            cfg = replace(sampler_cfg, seed=derived_seed(ex_seed, a))
             pasts.append(past)
-            candidates.append(sample_candidates(estimate_state(past), cfg))
             refs.append(ref_speed)
+        candidates = example_candidates(pasts, ex_seed, sampler_cfg)
         lanes = [lane] * n_actors
         feats = extract_features_batch(candidates, lanes, refs)
         gt_idx = np.argmin(feats[..., 1] + feats[..., 4], axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import EnergyTables
-from .errors import InvalidSetSize
+from .errors import InvalidSetSize, check_counts, check_weights
 from .inference import LbpConfig, MarginalSet, lbp, set_conditionals
 from .sampler import CandidateSet, nearest_candidates
 
@@ -42,8 +42,11 @@ class PlannerConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.variant == "interpolated":
-            if self.set_size is None or self.set_size < 1:
-                raise InvalidSetSize("interpolated variant needs set_size >= 1")
+            if self.set_size is None:
+                raise InvalidSetSize("interpolated variant needs a set_size")
+            check_counts(set_size=self.set_size)
+        check_weights(lambda_b=self.lambda_b, lambda_c=self.lambda_c,
+                      w_goal=self.w_goal)
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "set_size": self.set_size,

@@ -8,13 +8,12 @@ candidates travel together as one ``CandidateSet`` of (K, T) arrays.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonMismatch, InsufficientHistory, check_counts
+from .errors import HorizonMismatch, InsufficientHistory, check_counts, check_weights
 from .geometry import Pose2, wrap_angle
 
 INTEGRATION_SUBSTEPS = 10
@@ -150,8 +149,7 @@ class KinematicState:
     speed: float
 
     def __post_init__(self):
-        if not np.isfinite(self.speed) or self.speed < 0:
-            raise ValueError("speed must be finite and non-negative")
+        check_weights(speed=self.speed)
 
 
 @dataclass(frozen=True)
@@ -176,8 +174,7 @@ class SamplerConfig:
                 raise ValueError("parameter ranges must be non-empty intervals")
         check_counts(k=self.k, horizon_steps=self.horizon_steps)
         check_counts(0, seed=self.seed)
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and > 0")
+        check_weights(True, dt=self.dt)
         if not self.v_max >= 0:
             raise ValueError(f"v_max must be non-negative, got {self.v_max}")
 

@@ -10,6 +10,7 @@ from reactplan.geometry import (OrientedBox, Polyline, Pose2, _sat_gaps,
                                 wrap_angle)
 from reactplan.errors import HorizonMismatch
 from reactplan.inference import _edge_list, _lse, _softmax, lbp
+from reactplan.learning import LOG_CLIP
 from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
                                MODE_SPIRAL, CandidateSet, KinematicState,
@@ -599,3 +600,72 @@ def plan_reference(ego_candidates, tables, cfg):
     return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
                       ego_unary=ego, interaction=inter, actor_unary=actor,
                       goal=goal, converged=ms.converged, iters_used=ms.iters_used)
+
+
+def _node_loss(log_marg, labels, k, renorm, d_log_marg=None):
+    total = 0.0
+    clipped = False
+    grad = None if d_log_marg is None else np.zeros(d_log_marg.shape[0])
+    for i, (gt_idx, ignore) in enumerate(labels):
+        keep = np.array([a for a in range(k) if a not in ignore])
+        logp = log_marg[i, gt_idx]
+        dlogp = None if grad is None else d_log_marg[:, i, gt_idx].copy()
+        if renorm and len(keep) < k:
+            row = log_marg[i, keep]
+            logp = logp - _lse(row, axis=0)
+            if grad is not None:
+                w = _softmax(row, axis=0)
+                dlogp -= np.einsum("a,pa->p", w, d_log_marg[:, i, keep])
+        if logp < LOG_CLIP:
+            logp = LOG_CLIP
+            clipped = True
+            if dlogp is not None:
+                dlogp[:] = 0.0
+        total += -(1.0 / k) * logp
+        if grad is not None:
+            grad += -(1.0 / k) * dlogp
+    return total, grad, clipped
+
+
+def _edge_loss(lpb, labels, k, renorm, d_lpb=None):
+    m = len(labels)
+    total = 0.0
+    clipped = False
+    grad = None if d_lpb is None else np.zeros(d_lpb.shape[0])
+    for i in range(m):
+        for j in range(i + 1, m):
+            gt_i, ign_i = labels[i]
+            gt_j, ign_j = labels[j]
+            block = lpb[i, j]
+            logp = block[gt_i, gt_j]
+            dlogp = None if grad is None else d_lpb[:, i, j, gt_i, gt_j].copy()
+            if renorm and (ign_i or ign_j):
+                keep_i = np.array([a for a in range(k) if a not in ign_i])
+                keep_j = np.array([b for b in range(k) if b not in ign_j])
+                sub = block[np.ix_(keep_i, keep_j)].reshape(-1)
+                logp = logp - _lse(sub, axis=0)
+                if grad is not None:
+                    w = _softmax(sub, axis=0)
+                    dsub = d_lpb[:, i, j][:, keep_i][:, :, keep_j]
+                    dlogp -= np.einsum("c,pc->p", w,
+                                       dsub.reshape(dsub.shape[0], -1))
+            if logp < LOG_CLIP:
+                logp = LOG_CLIP
+                clipped = True
+                if dlogp is not None:
+                    dlogp[:] = 0.0
+            total += -(1.0 / k ** 2) * logp
+            if grad is not None:
+                grad += -(1.0 / k ** 2) * dlogp
+    return total, grad, clipped
+
+
+def loss_terms_reference(log_marg, lpb, labels, d_log_marg=None, d_lpb=None):
+    """The training loss as one loop over actors and one over actor pairs:
+    (node term, edge term, weight gradient or None, whether any probability
+    was clipped). Oracle of ``learning._loss_report``."""
+    k = log_marg.shape[1]
+    node, g_node, clip_node = _node_loss(log_marg, labels, k, True, d_log_marg)
+    edge, g_edge, clip_edge = _edge_loss(lpb, labels, k, True, d_lpb)
+    grad = None if d_log_marg is None else g_node + g_edge
+    return node, edge, grad, clip_node or clip_edge

@@ -187,8 +187,13 @@ class TestCmdPlan:
         assert "malformed config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value", [
-        ("lbp", "tol", float("nan")), ("sampler", "dt", float("nan")),
-        ("sampler", "v_max", -1.0), ("sampler", "v_max", float("nan"))])
+        ("lbp", "tol", float("nan")), ("lbp", "tol", float("inf")),
+        ("sampler", "dt", float("nan")),
+        ("sampler", "v_max", -1.0), ("sampler", "v_max", float("nan")),
+        ("energy", "gamma", float("nan")), ("energy", "gamma", float("inf")),
+        ("energy", "d_safe", float("nan")), ("energy", "d_safe", float("inf")),
+        ("energy", "lambda_b", float("nan")), ("energy", "lambda_b", float("inf")),
+        ("energy", "lambda_c", float("nan")), ("energy", "w_goal", float("nan"))])
     def test_invalid_config_value_exits_2(self, tmp_path, scenario_file, capsys,
                                           section, key, value):
         cfg = RunConfig().to_dict()

@@ -10,7 +10,8 @@ from conftest import (candidate_set, collision_energy, extract_features_referenc
                       straight_trajectory)
 from reactplan.energy import (BoxDims, EnergyParams, EnergyTables, _reach_pairs,
                               build_tables, extract_features_batch,
-                              goal_energy_batch, interaction_tables)
+                              goal_energy_batch, interaction_tables,
+                              unary_energies)
 from reactplan.cli import _scene_inputs
 from reactplan.config import RunConfig
 from reactplan.errors import DimensionMismatch, HorizonMismatch
@@ -170,6 +171,32 @@ class TestUnaryEnergy:
                         {"w_ego": np.zeros((1, 6))}, {"w_actor": 0.0}):
             with pytest.raises(DimensionMismatch):
                 EnergyParams(**weights)
+
+    def test_equals_per_vehicle_product_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            m, k = rng.integers(1, 10), rng.integers(1, 20)
+            feats = rng.normal(size=(m, k, 6)) * rng.uniform(0.1, 100.0)
+            params = EnergyParams(*rng.normal(size=(2, 6)))
+            per_vehicle = np.stack([f @ (params.w_ego if i == 0 else params.w_actor)
+                                    for i, f in enumerate(feats)])
+            assert np.array_equal(unary_energies(feats, params), per_vehicle)
+
+
+class TestEnergyParamsValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("gamma", 0.0),
+        ("d_safe", math.nan), ("d_safe", math.inf), ("d_safe", -1.0),
+        ("lambda_b", math.nan), ("lambda_b", math.inf), ("lambda_b", -1.0),
+        ("lambda_c", math.nan), ("lambda_c", math.inf),
+        ("w_goal", math.nan), ("w_goal", -math.inf)])
+    def test_rejects_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            EnergyParams(**{field: value})
+
+    def test_accepts_zero_planning_weights(self):
+        params = EnergyParams(lambda_b=0.0, lambda_c=0.0, w_goal=0.0)
+        assert params.lambda_b == params.lambda_c == params.w_goal == 0.0
 
 
 class TestCollisionEnergy:

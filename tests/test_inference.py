@@ -72,7 +72,8 @@ class TestLbpBasics:
 
     @pytest.mark.parametrize("option", [{"tol": float("nan")}, {"tol": 0.0},
                                         {"damping": float("nan")}, {"max_iters": 0},
-                                        {"max_iters": 2.5}, {"max_iters": True}])
+                                        {"max_iters": 2.5}, {"max_iters": True},
+                                        {"tol": float("inf")}])
     def test_config_rejects_bad_options(self, option):
         # residual < nan never holds, so a NaN tol could never converge
         with pytest.raises(ValueError):

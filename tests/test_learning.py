@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import candidate_set, random_tables, straight_trajectory, trajectory_l2
+from conftest import (candidate_set, loss_terms_reference, random_tables,
+                      straight_trajectory, trajectory_l2)
+from reactplan import learning
 from reactplan.energy import EnergyParams, EnergyTables
 from reactplan.errors import DivergenceError, InvalidIgnoreSize
 from reactplan.geometry import OrientedBox, Pose2, boxes_overlap
-from reactplan.inference import LbpConfig, exact_marginals, lbp, lbp_pass
-from reactplan.learning import (LOG_CLIP, TrainConfig,
-                                _edge_loss, _node_loss, _unary_tangents,
-                                batch_loss, example_loss, gradient,
+from reactplan.inference import (LbpConfig, edge_potentials, exact_marginals, lbp,
+                                 lbp_pass)
+from reactplan.learning import (LOG_CLIP, TrainConfig, _loss_report,
+                                _unary_tangents, batch_loss, gradient,
                                 label_and_ignore, load_dataset, loss,
-                                predict_top1, save_dataset, synthetic_dataset,
-                                train)
+                                save_dataset, synthetic_dataset, train)
 from reactplan.sampler import SamplerConfig
 
 SCFG = SamplerConfig(k=6, horizon_steps=6, dt=0.5)
@@ -104,7 +105,7 @@ class TestLoss:
         tables = random_tables(rng, m=2, k=3, coupling=0.6)
         ms = exact_marginals(tables)
         labels = [(0, (2,)), (1, ())]
-        report = loss(tables, ms, labels, renormalize_ignored=True)
+        report = loss(tables, ms, labels)
         k = 3
         lm = ms.log_marginals
         p0 = np.exp(lm[0])
@@ -118,12 +119,12 @@ class TestLoss:
         assert report.total == pytest.approx(report.node_term + report.edge_term,
                                              abs=1e-12)
 
-    def test_no_renormalization_flag(self):
+    def test_empty_ignore_sets_are_not_renormalized(self):
         rng = np.random.default_rng(2)
         tables = random_tables(rng, m=2, k=3, coupling=0.6)
         ms = exact_marginals(tables)
-        labels = [(0, (2,)), (1, (0,))]
-        raw = loss(tables, ms, labels, renormalize_ignored=False)
+        labels = [(0, ()), (1, ())]
+        raw = loss(tables, ms, labels)
         k = 3
         expected_nodes = -(1 / k) * (ms.log_marginals[0, 0] + ms.log_marginals[1, 1])
         assert raw.node_term == pytest.approx(expected_nodes, abs=1e-12)
@@ -133,9 +134,11 @@ class TestLoss:
         tables = random_tables(rng, m=2, k=4, coupling=0.5)
         ms = exact_marginals(tables)
         labels = [(1, ()), (3, ())]
-        renorm = loss(tables, ms, labels, renormalize_ignored=True)
-        raw = loss(tables, ms, labels, renormalize_ignored=False)
-        assert renorm.total == pytest.approx(raw.total, abs=1e-12)
+        report = loss(tables, ms, labels)
+        k = 4
+        plain = (-(1 / k) * (math.log(ms.marginals[0, 1]) + math.log(ms.marginals[1, 3]))
+                 - (1 / k ** 2) * math.log(ms.pairwise_beliefs[0, 1, 1, 3]))
+        assert report.total == pytest.approx(plain, abs=1e-12)
 
     def test_vanishing_ground_truth_mass_is_clipped(self):
         k = 3
@@ -162,6 +165,93 @@ class TestLoss:
                                            LbpConfig(max_iters=100, tol=1e-12)),
                        labels)
         assert shifted.total == pytest.approx(base.total, abs=1e-9)
+
+    def test_relabelling_vehicles_keeps_loss(self):
+        # the rule of test_planner.py::TestActorRelabelling: permute the
+        # vehicles of a scene together with their labels
+        rng = np.random.default_rng(24)
+        cfg = LbpConfig(max_iters=200, tol=1e-12)
+        for m in (3, 5):
+            tables = random_tables(rng, m=m, k=5, coupling=0.5)
+            labels = random_labels(rng, m, 5, rng.integers(0, 3, size=m))
+            order = rng.permutation(m)
+            moved = EnergyTables(unary=tables.unary[order],
+                                 pairwise=tables.pairwise[order][:, order],
+                                 goal=tables.goal)
+            base = loss(tables, lbp(tables, cfg), labels)
+            again = loss(moved, lbp(moved, cfg), [labels[i] for i in order])
+            assert again.total == pytest.approx(base.total, abs=1e-9)
+            assert again.node_term == pytest.approx(base.node_term, abs=1e-9)
+
+
+def random_labels(rng, m, k, ignore_sizes):
+    """Ground truth per vehicle plus an ignore set of the given size drawn
+    from the other candidates."""
+    labels = []
+    for size in ignore_sizes:
+        gt = int(rng.integers(k))
+        others = [a for a in range(k) if a != gt]
+        labels.append((gt, tuple(int(a) for a in rng.choice(others, size, replace=False))))
+    return labels
+
+
+def beliefs_with_tangents(rng, m, k, tables=None):
+    """Log beliefs of a random scene and their tangents along four random
+    node-potential directions, after a few fixed message-passing iterations."""
+    tables = tables or random_tables(rng, m=m, k=k, coupling=0.5)
+    res = lbp_pass(-tables.unary, edge_potentials(tables.pairwise),
+                   LbpConfig(max_iters=6, fixed_iterations=True),
+                   node_dot=rng.normal(size=(4, m, k)))
+    return res.log_marginals, res.log_pairwise, res.d_log_marginals, res.d_log_pairwise
+
+
+def assert_matches_reference(log_marg, lpb, labels, d_log_marg, d_lpb):
+    """Totals and gradient within 1e-12 relative of the loop oracle, with the
+    same clip flag; returns the report."""
+    node, edge, grad, clipped = loss_terms_reference(log_marg, lpb, labels,
+                                                     d_log_marg, d_lpb)
+    report = _loss_report(log_marg, lpb, labels, d_log_marg, d_lpb)
+    assert report.node_term == pytest.approx(node, rel=1e-12, abs=0)
+    assert report.edge_term == pytest.approx(edge, rel=1e-12, abs=0)
+    assert report.total == pytest.approx(node + edge, rel=1e-12, abs=0)
+    assert np.max(np.abs(report.gradient - grad)) <= 1e-12 * np.max(np.abs(grad))
+    assert report.clipped == clipped
+    return report
+
+
+class TestLossKernel:
+    # the masked cross-entropy against the loops over actors and actor pairs
+    # (conftest.loss_terms_reference); M = 1 has no pairs
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 9])
+    @pytest.mark.parametrize("k_ignore", [0, 1, 2, 3])
+    def test_matches_loop_reference(self, m, k_ignore):
+        rng = np.random.default_rng(100 * m + k_ignore)
+        for _ in range(3):
+            beliefs = beliefs_with_tangents(rng, m, 5)
+            labels = random_labels(rng, m, 5, [k_ignore] * m)
+            assert not assert_matches_reference(*beliefs[:2], labels,
+                                                *beliefs[2:]).clipped
+
+    @pytest.mark.parametrize("m", [2, 4, 9])
+    def test_ragged_hand_written_labels(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            beliefs = beliefs_with_tangents(rng, m, 5)
+            labels = random_labels(rng, m, 5, rng.integers(0, 4, size=m))
+            assert_matches_reference(*beliefs[:2], labels, *beliefs[2:])
+
+    def test_clipped_terms_match(self):
+        rng = np.random.default_rng(7)
+        tables = random_tables(rng, m=3, k=4, coupling=0.5)
+        unary = tables.unary.copy()
+        unary[0, 1] = 200.0                    # the ground truth of vehicle 0
+        tables = EnergyTables(unary=unary, pairwise=tables.pairwise, goal=tables.goal)
+        beliefs = beliefs_with_tangents(rng, 3, 4, tables)
+        labels = [(1, (2,)), (0, ()), (3, (0, 1))]
+        report = assert_matches_reference(*beliefs[:2], labels, *beliefs[2:])
+        assert report.clipped
+        assert report.node_term > -(1 / 4) * LOG_CLIP
 
 
 class TestGradient:
@@ -190,11 +280,8 @@ class TestGradient:
         res = lbp_pass(-unary, -(pairwise + pairwise.transpose(1, 0, 3, 2)),
                        TCFG.lbp, node_dot=_unary_tangents(feats))
         labels = [(0, ()), (1, ())]
-        _, gn, _ = _node_loss(res.log_marginals, labels, k, True,
-                              res.d_log_marginals)
-        _, ge, _ = _edge_loss(res.log_pairwise, labels, k, True,
-                              res.d_log_pairwise)
-        g = gn + ge
+        g = _loss_report(res.log_marginals, res.log_pairwise, labels,
+                         res.d_log_marginals, res.d_log_pairwise).gradient
         assert g[1] == pytest.approx(g[3], abs=1e-8)
         assert g[7] == pytest.approx(g[9], abs=1e-8)
 
@@ -246,6 +333,31 @@ class TestTrain:
                           lbp=LbpConfig(max_iters=5, fixed_iterations=True))
         with pytest.raises(DivergenceError, match="non-finite"):
             train(EnergyParams(), data, SCFG, cfg)
+
+    def test_train_calls_traced_names_once_per_example_per_epoch(self, monkeypatch):
+        # the counts perfbench's Train.round checks on traced runs: sampling
+        # and the loss go through these module names, once per vehicle and
+        # once per example in every epoch
+        n_examples, epochs, n_actors = 3, 2, 3
+        data = synthetic_dataset(n_examples, seed=17, sampler_cfg=SCFG, n_actors=n_actors)
+        counts = {"candidates": 0, "examples": 0}
+
+        def counting(name, key, size):
+            original = getattr(learning, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                counts[key] += size(out)
+                return out
+            monkeypatch.setattr(learning, name, wrapper)
+
+        counting("sample_candidates", "candidates", len)
+        counting("example_loss", "examples", lambda out: 1)
+        cfg = TrainConfig(lr=0.1, epochs=epochs, k_ignore=1,
+                          lbp=LbpConfig(max_iters=4, fixed_iterations=True))
+        train(EnergyParams(), data, SCFG, cfg)
+        assert counts == {"examples": n_examples * epochs,
+                          "candidates": n_examples * epochs * n_actors * SCFG.k}
 
     @pytest.mark.parametrize("option", [{"epochs": 0}, {"k_ignore": -3},
                                         {"epochs": 2.5}, {"k_ignore": 1.5},

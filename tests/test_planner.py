@@ -358,6 +358,24 @@ class TestBatchedScoring:
             assert len(calls) == 1
 
 
+class TestPlannerConfigValidation:
+    @pytest.mark.parametrize("set_size", [2.5, True, 0])
+    def test_interpolated_rejects_non_count_set_size(self, set_size):
+        with pytest.raises(ValueError, match="set_size must be an integer >= 1"):
+            PlannerConfig(variant="interpolated", set_size=set_size)
+
+    def test_interpolated_needs_set_size(self):
+        with pytest.raises(InvalidSetSize):
+            PlannerConfig(variant="interpolated")
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_b", math.nan), ("lambda_b", -1.0), ("lambda_c", math.inf),
+        ("w_goal", math.nan)])
+    def test_rejects_non_finite_and_negative_weights(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
+            PlannerConfig(**{field: value})
+
+
 class TestCandidateArrays:
     def test_replan_builds_no_trajectory(self, monkeypatch):
         # sampling, tables and every planning variant read the candidate
