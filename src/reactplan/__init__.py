@@ -2,12 +2,10 @@
 
 from .energy import BoxDims, EnergyParams, EnergyTables, build_tables
 from .geometry import OrientedBox, Polyline, Pose2, boxes_overlap
-from .inference import (LbpConfig, MarginalSet, conditional_marginals,
-                        exact_marginals, lbp, set_conditional_marginals)
+from .inference import LbpConfig, MarginalSet, exact_marginals, lbp
 from .learning import (LossReport, TrainConfig, TrainingExample, gradient,
                        label_and_ignore, loss, synthetic_dataset, train)
-from .planner import (PlanResult, PlannerConfig, interpolated_objective,
-                      nonreactive_objective, plan, reactive_objective)
+from .planner import PlanResult, PlannerConfig, plan
 from .sampler import (CandidateSet, KinematicState, SamplerConfig, Trajectory,
                       estimate_state, nearest_candidates, sample_candidates)
 from .scenarios import CarFollowingParams, Lane, Scenario, builtin_templates

@@ -39,28 +39,24 @@ class CliError(Exception):
     """Input problem that maps to exit code 2."""
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
+def _load_file(path, loader, what: str):
+    """``loader`` applied to the file at ``path``; a missing file, or one the
+    loader rejects for any reason, is a CliError."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"config file not found: {path}")
+        raise CliError(f"{what} file not found: {path}")
     try:
-        return RunConfig.load(p)
+        return loader(p)
     except Exception as exc:
-        raise CliError(f"malformed config file {path}: {exc}")
+        raise CliError(f"malformed {what} file {path}: {exc}")
 
 
-def _load_scenario(path: str) -> Scenario:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"scenario file not found: {path}")
-    try:
-        return Scenario.load(p)
-    except ReactplanError:
-        raise
-    except Exception as exc:
-        raise CliError(f"malformed scenario file {path}: {exc}")
+def _run_config(args) -> RunConfig:
+    """The ``--config`` file (defaults without one), seeded by ``--seed`` when
+    given and by the file's own seed otherwise."""
+    cfg = RunConfig() if args.config is None else _load_file(
+        args.config, RunConfig.load, "config")
+    return cfg.with_seed(cfg.seed if args.seed is None else args.seed)
 
 
 def _out_dir(args) -> Path:
@@ -90,8 +86,8 @@ def _scene_inputs(scenario: Scenario, cfg: RunConfig):
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args.config).with_seed(args.seed)
-    scenario = _load_scenario(args.scenario)
+    cfg = _run_config(args)
+    scenario = _load_file(args.scenario, Scenario.load, "scenario")
     n_vehicles = 1 + len(scenario.actors)
     if not 0 <= args.actor < n_vehicles:
         raise CliError(f"actor id {args.actor} out of range [0, {n_vehicles})")
@@ -116,8 +112,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _load_config(args.config).with_seed(args.seed)
-    scenario = _load_scenario(args.scenario)
+    cfg = _run_config(args)
+    scenario = _load_file(args.scenario, Scenario.load, "scenario")
     _, tables = _scene_inputs(scenario, cfg)
     ms = lbp(tables, cfg.lbp)
     out = _out_dir(args)
@@ -142,10 +138,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    cfg = _load_config(args.config).with_seed(args.seed)
+    cfg = _run_config(args)
     if args.variant:
         cfg = replace(cfg, variant=args.variant)
-    scenario = _load_scenario(args.scenario)
+    scenario = _load_file(args.scenario, Scenario.load, "scenario")
     candidates, tables = _scene_inputs(scenario, cfg)
     result = plan(candidates[0], tables, cfg.planner_config())
     out = _out_dir(args)
@@ -155,17 +151,14 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config).with_seed(args.seed)
+    cfg = _run_config(args)
     try:
         train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
                                 k_ignore=args.k_ignore,
                                 divergence_threshold=args.divergence_threshold)
     except ValueError as exc:
         raise CliError(f"invalid training option: {exc}")
-    dataset_path = Path(args.dataset)
-    if not dataset_path.exists():
-        raise CliError(f"dataset file not found: {args.dataset}")
-    dataset = load_dataset(dataset_path)
+    dataset = _load_file(args.dataset, load_dataset, "dataset")
     if not dataset:
         raise CliError("dataset is empty")
     fitted, curve = train(cfg.energy, dataset, cfg.sampler, train_cfg)
@@ -190,14 +183,14 @@ def _resolve_templates(args) -> list[Scenario]:
         files = sorted(path.glob("*.json"))
         if not files:
             raise CliError(f"no scenario files in {path}")
-        return [Scenario.load(f) for f in files]
+        return [_load_file(f, Scenario.load, "scenario") for f in files]
     if path.exists():
-        return [Scenario.load(path)]
+        return [_load_file(path, Scenario.load, "scenario")]
     raise CliError(f"templates path not found: {args.templates}")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config).with_seed(args.seed)
+    cfg = _run_config(args)
     templates = _resolve_templates(args)
     variants = [v.strip() for v in args.planners.split(",") if v.strip()]
     if not variants:
@@ -205,12 +198,15 @@ def cmd_simulate(args) -> int:
     if args.variants is not None and args.variants < 1:
         raise CliError(f"--variants must be >= 1, got {args.variants}")
     n_variants = args.variants if args.variants is not None else cfg.n_variants
+    try:
+        planner_cfgs = [cfg.planner_config(variant=v) for v in variants]
+    except ValueError as exc:
+        raise CliError(f"invalid --planners entry: {exc}")
     out = _out_dir(args)
 
     rows = []
     any_episode = False
-    for variant in variants:
-        planner_cfg = cfg.planner_config(variant=variant)
+    for variant, planner_cfg in zip(variants, planner_cfgs):
         suite = run_suite(templates, n_variants, planner_cfg, cfg.energy,
                           cfg.sampler, cfg.sim, cfg.seed, workers=args.workers)
         for name, v_idx in suite.skipped:
@@ -271,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint prediction-and-planning toolkit: candidate sampling, "
                     "marginal inference, planning, training, closed-loop suites.")
     parser.add_argument("--config", default=None, help="run config JSON")
-    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--seed", type=_seed, default=None,
+                        help="run seed (default: the config's seed, else 0)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -46,14 +46,6 @@ class StateSpaceTooLarge(ReactplanError):
     """Exact enumeration was requested on an instance with too many joint states."""
 
 
-class DegenerateCondition(ReactplanError):
-    """Conditioning on an ego candidate whose probability mass is below epsilon."""
-
-
-class EmptyConditioningSet(ReactplanError):
-    """Set-conditioning requested with an empty candidate set."""
-
-
 class InvalidSetSize(ReactplanError):
     """Interpolated objective requested with a set size outside [1, K]."""
 

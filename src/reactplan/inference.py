@@ -29,12 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import EnergyTables
-from .errors import (DegenerateCondition, EmptyConditioningSet,
-                     NumericalFailure, StateSpaceTooLarge, check_counts,
+from .errors import (NumericalFailure, StateSpaceTooLarge, check_counts,
                      check_weights)
 
 MAX_JOINT_STATES = 10_000_000
-DEGENERATE_MASS = 1e-12      # ego mass at or below which conditioning is refused
+DEGENERATE_MASS = 1e-12      # ego mass at or below which a conditional is degenerate
 
 
 @dataclass(frozen=True)
@@ -61,28 +60,42 @@ class LbpConfig:
 
 @dataclass
 class MarginalSet:
-    """Per-actor marginals and pairwise beliefs over candidates.
+    """Per-actor marginals and pairwise beliefs over candidates, stored once
+    in log form.
 
-    Linear-domain arrays satisfy the usual normalization; the log-domain
-    copies stay meaningful even for candidates whose mass underflows.
-    Diagonal pairwise blocks are unused and stored as zeros.
+    The log arrays stay meaningful even for candidates whose mass
+    underflows; ``marginals`` and ``pairwise_beliefs`` are their linear
+    views, with the unused diagonal pairwise blocks set to zero. With
+    tangents, ``d_log_marginals`` (P, M, K) and ``d_log_pairwise_beliefs``
+    (P, M, M, K, K) hold the derivatives of the logs in P directions.
     """
 
-    marginals: np.ndarray            # (N+1, K)
-    pairwise_beliefs: np.ndarray     # (N+1, N+1, K, K)
+    log_marginals: np.ndarray            # (N+1, K)
+    log_pairwise_beliefs: np.ndarray     # (N+1, N+1, K, K)
     converged: bool
     iters_used: int
-    log_marginals: np.ndarray
-    log_pairwise_beliefs: np.ndarray
     residuals: list[float] = field(default_factory=list)
+    d_log_marginals: np.ndarray | None = None
+    d_log_pairwise_beliefs: np.ndarray | None = None
+
+    @property
+    def marginals(self) -> np.ndarray:
+        return np.exp(self.log_marginals)
+
+    @property
+    def pairwise_beliefs(self) -> np.ndarray:
+        beliefs = np.exp(self.log_pairwise_beliefs)
+        idx = np.arange(self.n_nodes)
+        beliefs[idx, idx] = 0.0
+        return beliefs
 
     @property
     def n_nodes(self) -> int:
-        return self.marginals.shape[0]
+        return self.log_marginals.shape[0]
 
     @property
     def k(self) -> int:
-        return self.marginals.shape[1]
+        return self.log_marginals.shape[1]
 
 
 def _lse(x, axis=-1, keepdims=False):
@@ -100,22 +113,6 @@ def edge_potentials(pairwise: np.ndarray) -> np.ndarray:
     return -(pairwise + pairwise.transpose(1, 0, 3, 2))
 
 
-def tables_to_potentials(tables: EnergyTables) -> tuple[np.ndarray, np.ndarray]:
-    """Log node and combined log edge potentials from energy tables."""
-    return -tables.unary, edge_potentials(tables.pairwise)
-
-
-@dataclass
-class _EngineResult:
-    log_marginals: np.ndarray
-    log_pairwise: np.ndarray
-    converged: bool
-    iters_used: int
-    residuals: list[float]
-    d_log_marginals: np.ndarray | None = None
-    d_log_pairwise: np.ndarray | None = None
-
-
 def _edge_list(log_edge: np.ndarray):
     """Directed edges (src, dst, reverse index) of the pairs whose combined
     block holds a non-zero entry, in row-major order of (src, dst)."""
@@ -129,7 +126,7 @@ def _edge_list(log_edge: np.ndarray):
 
 
 def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
-             node_dot: np.ndarray | None = None) -> _EngineResult:
+             node_dot: np.ndarray | None = None) -> MarginalSet:
     """Damped synchronous sum-product message passing over the active edges.
 
     Messages m[i -> j](b) are proportional to
@@ -235,6 +232,9 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     idx = np.arange(m_nodes)
     lpb[idx, idx] = 0.0
 
+    if not (np.all(np.isfinite(log_marg)) and np.all(np.isfinite(lpb))):
+        raise NumericalFailure("non-finite belief encountered")
+
     d_log_marg = d_lpb = None
     if want_dot:
         dpre = node_dot + incidence @ dlm
@@ -247,32 +247,15 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
         d_lpb[:, src, dst] = d_edge - corr[:, :, None, None]
         d_lpb[:, idx, idx] = 0.0
 
-    return _EngineResult(log_marginals=log_marg, log_pairwise=lpb,
-                         converged=converged, iters_used=iters_used,
-                         residuals=residuals,
-                         d_log_marginals=d_log_marg, d_log_pairwise=d_lpb)
-
-
-def _marginal_set_from_logs(log_marg, lpb, converged, iters_used, residuals) -> MarginalSet:
-    m_nodes = log_marg.shape[0]
-    marginals = np.exp(log_marg)
-    beliefs = np.exp(lpb)
-    idx = np.arange(m_nodes)
-    beliefs[idx, idx] = 0.0
-    if not (np.all(np.isfinite(marginals)) and np.all(np.isfinite(beliefs))):
-        raise NumericalFailure("non-finite belief encountered")
-    return MarginalSet(marginals=marginals, pairwise_beliefs=beliefs,
+    return MarginalSet(log_marginals=log_marg, log_pairwise_beliefs=lpb,
                        converged=converged, iters_used=iters_used,
-                       log_marginals=log_marg, log_pairwise_beliefs=lpb,
-                       residuals=list(residuals))
+                       residuals=residuals, d_log_marginals=d_log_marg,
+                       d_log_pairwise_beliefs=d_lpb)
 
 
 def lbp(tables: EnergyTables, cfg: LbpConfig = LbpConfig()) -> MarginalSet:
     """Approximate marginals and pairwise beliefs via loopy message passing."""
-    log_node, log_edge = tables_to_potentials(tables)
-    res = lbp_pass(log_node, log_edge, cfg)
-    return _marginal_set_from_logs(res.log_marginals, res.log_pairwise,
-                                   res.converged, res.iters_used, res.residuals)
+    return lbp_pass(-tables.unary, edge_potentials(tables.pairwise), cfg)
 
 
 def exact_marginals(tables: EnergyTables) -> MarginalSet:
@@ -319,8 +302,8 @@ def exact_marginals(tables: EnergyTables) -> MarginalSet:
             moved = np.moveaxis(log_joint, (i, j), (0, 1)).reshape(k, k, -1)
             lpb[i, j] = _lse(moved, axis=2) if m_nodes > 2 else moved[:, :, 0]
 
-    return _marginal_set_from_logs(log_marg, lpb, converged=True,
-                                   iters_used=0, residuals=[])
+    return MarginalSet(log_marginals=log_marg, log_pairwise_beliefs=lpb,
+                       converged=True, iters_used=0)
 
 
 def set_conditionals(ms: MarginalSet, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,22 +322,3 @@ def set_conditionals(ms: MarginalSet, members: np.ndarray) -> tuple[np.ndarray, 
     conditionals = np.exp(rows - _lse(rows, axis=2, keepdims=True))
     mass = ms.marginals[0][members].sum(axis=1)
     return conditionals, (ms.n_nodes > 1) & (mass <= DEGENERATE_MASS)
-
-
-def set_conditional_marginals(ms: MarginalSet, candidate_set) -> np.ndarray:
-    """Actor marginals conditioned on the ego choosing from a set, shape (N, K)."""
-    members = sorted(set(int(a) for a in candidate_set))
-    if not members:
-        raise EmptyConditioningSet("conditioning set must be non-empty")
-    if members[0] < 0 or members[-1] >= ms.k:
-        raise IndexError("conditioning set member out of range")
-    conditionals, degenerate = set_conditionals(ms, np.array([members]))
-    if degenerate[0]:
-        raise DegenerateCondition(
-            f"conditioning set {members} has mass <= {DEGENERATE_MASS}")
-    return conditionals[0]
-
-
-def conditional_marginals(ms: MarginalSet, ego_candidate: int) -> np.ndarray:
-    """Actor marginals conditioned on one ego candidate, shape (N, K)."""
-    return set_conditional_marginals(ms, [ego_candidate])

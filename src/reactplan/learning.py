@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import (BoxDims, EnergyParams, EnergyTables, N_FEATURES,
+from .energy import (BoxDims, EnergyParams, N_FEATURES,
                      extract_features_batch, interaction_tables, unary_energies)
 from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure,
                      check_counts, check_weights)
@@ -146,46 +146,37 @@ def _cross_entropy(log_p, gt, dropped, scale, d_log_p=None):
     return total, _sum_in_order(-scale * dlogp), bool(clipped.any())
 
 
-def _loss_report(log_marg, lpb, labels, d_log_marg=None, d_lpb=None) -> LossReport:
-    """Node and edge cross-entropy of ``labels`` under log marginals (M, K)
-    and log pairwise beliefs (M, M, K, K), with the weight gradient when
-    their tangents (P, M, K) and (P, M, M, K, K) are given.
+def loss(ms: MarginalSet, labels: list[tuple[int, tuple[int, ...]]]) -> LossReport:
+    """Cross-entropy of the ground-truth assignment under the beliefs ``ms``,
+    with the weight gradient when ``ms`` carries tangents.
 
-    The edge rows are the unordered pairs i < j in row-major order, each
-    (K, K) block flattened with target gt_i K + gt_j.
+    Node term per actor: -(1/K) log p(y_i = gt_i); edge term per unordered
+    pair: -(1/K^2) log p(y_i = gt_i, y_j = gt_j). A term whose labels ignore
+    candidates is renormalized over the rest. Probabilities below 1e-30 are
+    clipped and flagged. The edge rows are the pairs i < j in row-major
+    order, each (K, K) block flattened with target gt_i K + gt_j.
     """
-    m, k = log_marg.shape
+    m, k = ms.log_marginals.shape
     gt = np.array([g for g, _ in labels], dtype=int)
     dropped = np.zeros((m, k), dtype=bool)             # the ignore sets
     for row, (_, ignore) in enumerate(labels):
         dropped[row, list(ignore)] = True
-    node, g_node, clip_node = _cross_entropy(log_marg, gt, dropped, 1.0 / k,
-                                             d_log_marg)
+    node, g_node, clip_node = _cross_entropy(ms.log_marginals, gt, dropped, 1.0 / k,
+                                             ms.d_log_marginals)
     i, j = np.triu_indices(m, 1)
 
     def pair_rows(a):
         return a[..., i, j, :, :].reshape(a.shape[:-4] + (len(i), k * k))
 
+    d_lpb = ms.d_log_pairwise_beliefs
     edge, g_edge, clip_edge = _cross_entropy(
-        pair_rows(lpb), gt[i] * k + gt[j],
+        pair_rows(ms.log_pairwise_beliefs), gt[i] * k + gt[j],
         (dropped[i, :, None] | dropped[j, None, :]).reshape(len(i), k * k),
         1.0 / k ** 2, None if d_lpb is None else pair_rows(d_lpb))
     return LossReport(total=float(node + edge), node_term=float(node),
                       edge_term=float(edge),
-                      gradient=None if d_log_marg is None else g_node + g_edge,
+                      gradient=None if g_node is None else g_node + g_edge,
                       clipped=clip_node or clip_edge)
-
-
-def loss(tables: EnergyTables, ms: MarginalSet,
-         labels: list[tuple[int, tuple[int, ...]]]) -> LossReport:
-    """Cross-entropy of the ground-truth assignment under the model beliefs.
-
-    Node term per actor: -(1/K) log p(y_i = gt_i); edge term per unordered
-    pair: -(1/K^2) log p(y_i = gt_i, y_j = gt_j). A term whose labels ignore
-    candidates is renormalized over the rest. Probabilities below 1e-30 are
-    clipped and flagged. ``tables`` is the scene the beliefs belong to.
-    """
-    return _loss_report(ms.log_marginals, ms.log_pairwise_beliefs, labels)
 
 
 def example_candidates(pasts: list[Trajectory], seed: int,
@@ -227,8 +218,7 @@ def example_loss(params: EnergyParams, example: TrainingExample,
     """Loss (and optionally its weight gradient) for one example."""
     labels, res = _beliefs(params, example, sampler_cfg, train_cfg.k_ignore,
                            train_cfg.lbp, with_gradient)
-    report = _loss_report(res.log_marginals, res.log_pairwise, labels,
-                          res.d_log_marginals, res.d_log_pairwise)
+    report = loss(res, labels)
     if with_gradient and not np.all(np.isfinite(report.gradient)):
         raise NumericalFailure("non-finite gradient")
     return report

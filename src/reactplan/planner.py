@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,32 +151,6 @@ def score(ego_candidates: CandidateSet | None, tables: EnergyTables, ms: Margina
     return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
                       ego_unary=ego, interaction=inter, actor_unary=actor,
                       goal=goal, converged=ms.converged, iters_used=ms.iters_used)
-
-
-def reactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
-                       cfg: PlannerConfig) -> float:
-    """Ego unary + expected interaction + expected actor unary + goal,
-    with actor predictions conditioned on the evaluated ego candidate
-    (infinite for a degenerate candidate)."""
-    cfg = replace(cfg, variant="reactive")
-    return float(score(None, tables, ms, cfg).objective_values[a0])
-
-
-def nonreactive_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
-                          cfg: PlannerConfig) -> float:
-    """Same cost terms under unconditioned actor marginals; the actor unary
-    expectation is constant across ego candidates and therefore omitted."""
-    cfg = replace(cfg, variant="nonreactive")
-    return float(score(None, tables, ms, cfg).objective_values[a0])
-
-
-def interpolated_objective(tables: EnergyTables, ms: MarginalSet, a0: int,
-                           k: int, cfg: PlannerConfig,
-                           ego_candidates: CandidateSet) -> float:
-    """Reactive objective with set conditioning; at k = K the actor unary
-    term no longer depends on the candidate and is dropped."""
-    cfg = replace(cfg, variant="interpolated", set_size=k)
-    return float(score(ego_candidates, tables, ms, cfg).objective_values[a0])
 
 
 def plan(ego_candidates: CandidateSet, tables: EnergyTables,

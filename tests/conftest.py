@@ -187,8 +187,8 @@ def dense_lbp_pass(log_node, log_edge, cfg, node_dot=None):
     """Reference message passing on the fully connected graph.
 
     Every ordered pair carries a message, zero blocks included, so an
-    iteration costs O(M^2 K^2). Returns (log_marginals, log_pairwise,
-    converged, iters_used, residuals, d_log_marginals, d_log_pairwise).
+    iteration costs O(M^2 K^2). Returns (log_marginals, log_pairwise_beliefs,
+    converged, iters_used, residuals, d_log_marginals, d_log_pairwise_beliefs).
     """
     m_nodes, k = log_node.shape
     want_dot = node_dot is not None
@@ -663,7 +663,7 @@ def _edge_loss(lpb, labels, k, renorm, d_lpb=None):
 def loss_terms_reference(log_marg, lpb, labels, d_log_marg=None, d_lpb=None):
     """The training loss as one loop over actors and one over actor pairs:
     (node term, edge term, weight gradient or None, whether any probability
-    was clipped). Oracle of ``learning._loss_report``."""
+    was clipped). Oracle of ``learning.loss``."""
     k = log_marg.shape[1]
     node, g_node, clip_node = _node_loss(log_marg, labels, k, True, d_log_marg)
     edge, g_edge, clip_edge = _edge_loss(lpb, labels, k, True, d_lpb)

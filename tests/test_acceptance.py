@@ -5,6 +5,7 @@ lines. The closed-loop criteria (6 and 7) dominate the runtime.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,8 +18,7 @@ from reactplan.geometry import Pose2, boxes_overlap
 from reactplan.inference import LbpConfig, exact_marginals, lbp
 from reactplan.learning import (TrainConfig, batch_loss, gradient, predict_top1,
                                 synthetic_dataset, train)
-from reactplan.planner import (PlannerConfig, interpolated_objective,
-                               nonreactive_objective, plan, reactive_objective)
+from reactplan.planner import PlannerConfig, plan, score
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
                                KinematicState, SamplerConfig,
                                _draw_control_arrays, sample_candidates)
@@ -107,11 +107,11 @@ class TestCriterion3ObjectiveEquivalence:
             joint = joint_distribution(tables)
             grid = joint_energy_grid(tables, include_actor_actor=False,
                                      ego_interaction="both")
+            values = score(None, tables, ms, cfg).objective_values
             for a0 in range(3):
                 cond = joint[a0] / joint[a0].sum()
                 brute = float((cond * grid[a0]).sum()) + 0.5 * tables.goal[a0]
-                value = reactive_objective(tables, ms, a0, cfg)
-                worst = max(worst, abs(value - brute))
+                worst = max(worst, abs(values[a0] - brute))
         nonreactive_ok = True
         cfg_n = PlannerConfig(variant="nonreactive", lambda_b=1.0,
                               lambda_c=1.0, w_goal=0.0, lbp=LbpConfig())
@@ -123,8 +123,7 @@ class TestCriterion3ObjectiveEquivalence:
             grid = joint_energy_grid(tables, include_actor_actor=True,
                                      ego_interaction="both")
             brute = [float((p_actors * grid[a0]).sum()) for a0 in range(4)]
-            values = [nonreactive_objective(tables, ms, a0, cfg_n)
-                      for a0 in range(4)]
+            values = score(None, tables, ms, cfg_n).objective_values
             if int(np.argmin(values)) != int(np.argmin(brute)):
                 nonreactive_ok = False
         _report(3, worst < 1e-9 and nonreactive_ok,
@@ -145,15 +144,14 @@ class TestCriterion4InterpolationEndpoints:
                                    for i in range(k)])
             cfg = PlannerConfig(variant="reactive", lambda_b=1.0,
                                 lambda_c=0.4, w_goal=0.3, lbp=LbpConfig())
-            for a0 in range(k):
-                lhs = interpolated_objective(tables, ms, a0, 1, cfg, cands)
-                rhs = reactive_objective(tables, ms, a0, cfg)
-                if lhs != rhs:
-                    failures += 1
-            full = [interpolated_objective(tables, ms, a0, k, cfg, cands)
-                    for a0 in range(k)]
-            nonre = [nonreactive_objective(tables, ms, a0, cfg)
-                     for a0 in range(k)]
+            lhs = score(cands, tables, ms,
+                        replace(cfg, variant="interpolated", set_size=1)).objective_values
+            rhs = score(None, tables, ms, cfg).objective_values
+            failures += int(np.sum(lhs != rhs))
+            full = score(cands, tables, ms,
+                         replace(cfg, variant="interpolated", set_size=k)).objective_values
+            nonre = score(None, tables, ms,
+                          replace(cfg, variant="nonreactive")).objective_values
             if int(np.argmin(full)) != int(np.argmin(nonre)):
                 failures += 1
         _report(4, failures == 0,

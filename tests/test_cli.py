@@ -126,6 +126,28 @@ class TestCmdInfer:
 
 class TestSeedOption:
     @pytest.mark.parametrize("command", ["sample", "plan"])
+    def test_config_seed_applies_unless_flag_given(self, tmp_path, scenario_file,
+                                                   command):
+        # a run's seed is --seed when given, else the config file's seed
+        configs = {}
+        for seed in (0, 5):
+            configs[seed] = tmp_path / f"seed{seed}.json"
+            RunConfig(seed=seed, sampler=SamplerConfig(k=6, horizon_steps=6, dt=0.5)
+                      ).save(configs[seed])
+        artifact = "candidates.csv" if command == "sample" else "plan.json"
+
+        def run(name, config_seed, *flag):
+            out = tmp_path / name
+            assert main(["--config", str(configs[config_seed]), *flag,
+                         "--out", str(out), command, str(scenario_file)]) == 0
+            return read_bytes(out / artifact)
+
+        from_file = run("file5", 5)
+        assert from_file == run("flag5", 0, "--seed", "5")
+        assert run("file0", 0) == run("flag0", 5, "--seed", "0")
+        assert from_file != run("file0_again", 0)
+
+    @pytest.mark.parametrize("command", ["sample", "plan"])
     def test_negative_seed_exits_2(self, tmp_path, scenario_file, capsys, command):
         code = main(["--seed", "-1", "--out", str(tmp_path / "o"), command,
                      str(scenario_file)])
@@ -260,6 +282,15 @@ class TestCmdTrain:
                      "--lr", "0.1", "--epochs", "4",
                      "--divergence-threshold", "1e-12"])
         assert code == 4
+
+    @pytest.mark.parametrize("line", ['{"pasts": []}', "not json"])
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, line):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(line + "\n")
+        code = main(["--out", str(tmp_path / "o"), "train", str(data)])
+        assert code == 2
+        assert f"malformed dataset file {data}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "train",
@@ -403,6 +434,30 @@ class TestCmdSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert "malformed config file" in err and "n_variants must be an integer >= 1" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("as_dir", [True, False])
+    def test_malformed_template_exits_2(self, tmp_path, capsys, as_dir):
+        tdir = tmp_path / "templates"
+        tdir.mkdir()
+        (tdir / "x.json").write_text(json.dumps({"name": "x"}))
+        code = main(["--out", str(tmp_path / "o"), "simulate", "--templates",
+                     str(tdir if as_dir else tdir / "x.json"), "--variants", "1"])
+        assert code == 2
+        assert "malformed scenario file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("planners", ["reactive,bogus", "reactive,interpolated"])
+    def test_bad_planner_entry_exits_2_before_any_suite(self, tmp_path, capsys,
+                                                        planners):
+        # interpolated needs a set_size, which the default config lacks
+        config = self._one_variant_config(tmp_path)
+        code = main(["--config", str(config), "--out", str(tmp_path / "o"),
+                     "simulate", "--templates",
+                     str(self._template_dir(tmp_path, timer=0.2)),
+                     "--planners", planners])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_templates_exits_2(self, tmp_path):

@@ -7,11 +7,9 @@ import pytest
 from conftest import (dense_lbp_pass, edge_lbp_reference, joint_distribution,
                       max_node_tv, random_tables, tree_tables, tv_distance)
 from reactplan.energy import EnergyTables
-from reactplan.errors import (DegenerateCondition, EmptyConditioningSet,
-                              StateSpaceTooLarge)
-from reactplan.inference import (LbpConfig, conditional_marginals,
-                                 exact_marginals, lbp, lbp_pass,
-                                 set_conditional_marginals, set_conditionals)
+from reactplan.errors import NumericalFailure, StateSpaceTooLarge
+from reactplan.inference import (LbpConfig, edge_potentials, exact_marginals,
+                                 lbp, lbp_pass, set_conditionals)
 
 TIGHT = LbpConfig(max_iters=300, damping=0.5, tol=1e-13)
 
@@ -27,6 +25,12 @@ def collision_instance(seed, m=3, k=4):
             pw[i, j] = 100.0 * mask
             pw[j, i] = 100.0 * mask.T
     return EnergyTables(unary=unary, pairwise=pw, goal=np.zeros(k))
+
+
+def singleton_conditionals(ms):
+    """Actor marginals conditioned on each single ego candidate, (K, N, K),
+    and the (K,) degenerate mask."""
+    return set_conditionals(ms, np.arange(ms.k)[:, None])
 
 
 class TestLbpBasics:
@@ -127,6 +131,64 @@ class TestMarginalSetInvariants:
                 warnings.warn(f"residual tail not monotone on seed {seed}")
 
 
+def assert_linear_views_exact(ms):
+    """``marginals`` and ``pairwise_beliefs`` are exp of the stored logs bit
+    for bit, with zero diagonal pairwise blocks."""
+    idx = np.arange(ms.n_nodes)
+    beliefs = np.exp(ms.log_pairwise_beliefs)
+    beliefs[idx, idx] = 0.0
+    assert np.array_equal(ms.marginals, np.exp(ms.log_marginals))
+    assert np.array_equal(ms.pairwise_beliefs, beliefs)
+    assert not ms.pairwise_beliefs[idx, idx].any()
+
+
+class TestOneResultType:
+    """``lbp`` is ``lbp_pass`` on the tables' potentials, and every
+    ``MarginalSet`` stores its beliefs once, in log form."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lbp_is_lbp_pass_on_table_potentials(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        for tables in (collision_instance(seed),
+                       random_tables(rng, m=4, k=5, coupling=0.8),
+                       random_tables(rng, m=1, k=3)):
+            for cfg in (LbpConfig(), LbpConfig(max_iters=6, damping=0.0)):
+                ms = lbp(tables, cfg)
+                res = lbp_pass(-tables.unary, edge_potentials(tables.pairwise), cfg)
+                assert np.array_equal(ms.log_marginals, res.log_marginals)
+                assert np.array_equal(ms.log_pairwise_beliefs, res.log_pairwise_beliefs)
+                assert (ms.converged, ms.iters_used, ms.residuals) == \
+                    (res.converged, res.iters_used, res.residuals)
+                assert ms.d_log_marginals is None and ms.d_log_pairwise_beliefs is None
+                assert_linear_views_exact(ms)
+
+    def test_exact_marginals_views(self):
+        for seed in range(3):
+            ms = exact_marginals(collision_instance(seed))
+            assert (ms.converged, ms.iters_used, ms.residuals) == (True, 0, [])
+            assert_linear_views_exact(ms)
+
+    def test_tangent_fields_only_with_tangents(self):
+        rng = np.random.default_rng(9)
+        tables = random_tables(rng, m=3, k=4, coupling=0.5)
+        cfg = LbpConfig(max_iters=5, fixed_iterations=True)
+        res = lbp_pass(-tables.unary, edge_potentials(tables.pairwise), cfg,
+                       node_dot=rng.normal(size=(2, 3, 4)))
+        assert res.d_log_marginals.shape == (2, 3, 4)
+        assert res.d_log_pairwise_beliefs.shape == (2, 3, 3, 4, 4)
+        assert_linear_views_exact(res)
+
+    def test_non_finite_belief_raises(self):
+        # finite but enormous potentials overflow a log belief to -inf
+        # while every message stays finite
+        log_node = np.array([[-1e308, 0.0], [-1e308, 0.0]])
+        log_edge = np.zeros((2, 2, 2, 2))
+        log_edge[0, 1, 0, 0] = log_edge[1, 0, 0, 0] = -1e308
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalFailure, match="non-finite belief"):
+            lbp_pass(log_node, log_edge, LbpConfig(max_iters=3))
+
+
 class TestExactMarginals:
     def test_zero_energy_uniform(self):
         k = 4
@@ -185,8 +247,7 @@ class TestConditionals:
         pw[:, 0] = 0.0
         tables = EnergyTables(unary=tables.unary, pairwise=pw, goal=tables.goal)
         ms = lbp(tables, TIGHT)
-        for a0 in range(4):
-            q = conditional_marginals(ms, a0)
+        for q in singleton_conditionals(ms)[0]:
             np.testing.assert_allclose(q, ms.marginals[1:], atol=1e-9)
 
     def test_star_tree_matches_clamped_rerun(self):
@@ -205,10 +266,12 @@ class TestConditionals:
                 pw[i, 0] = rng.normal(size=(k, k))
             tables = EnergyTables(unary=unary, pairwise=pw, goal=np.zeros(k))
             ms = lbp(tables, TIGHT)
+            conds, degenerate = singleton_conditionals(ms)
             for a0 in range(3):
                 if ms.marginals[0, a0] <= 1e-12:
                     continue
-                q = conditional_marginals(ms, a0)
+                assert not degenerate[a0]
+                q = conds[a0]
                 clamped_unary = tables.unary.copy()
                 clamped_unary[0] += 500.0
                 clamped_unary[0, a0] -= 500.0
@@ -223,8 +286,7 @@ class TestConditionals:
         tables = random_tables(rng, m=3, k=4, coupling=0.6)
         joint = joint_distribution(tables)
         ms = exact_marginals(tables)
-        for a0 in range(4):
-            q = conditional_marginals(ms, a0)
+        for a0, q in enumerate(singleton_conditionals(ms)[0]):
             slice_ = joint[a0]                    # (K, K) over (y1, y2)
             cond = slice_ / slice_.sum()
             np.testing.assert_allclose(q[0], cond.sum(axis=1), atol=1e-12)
@@ -240,8 +302,7 @@ class TestConditionals:
             tables = random_tables(rng, m=3, k=4, coupling=0.1)
             ms = lbp(tables, LbpConfig(max_iters=200, tol=1e-10))
             joint = joint_distribution(tables)
-            for a0 in range(4):
-                q = conditional_marginals(ms, a0)
+            for a0, q in enumerate(singleton_conditionals(ms)[0]):
                 slice_ = joint[a0]
                 cond = slice_ / slice_.sum()
                 assert tv_distance(q[0], cond.sum(axis=1)) < 1e-2
@@ -250,10 +311,12 @@ class TestConditionals:
             tables = collision_instance(seed)
             ms = lbp(tables, LbpConfig(max_iters=100, tol=1e-8))
             joint = joint_distribution(tables)
+            conds, degenerate = singleton_conditionals(ms)
             for a0 in range(4):
                 if ms.marginals[0, a0] <= 1e-6:
                     continue
-                q = conditional_marginals(ms, a0)
+                assert not degenerate[a0]
+                q = conds[a0]
                 slice_ = joint[a0]
                 cond = slice_ / slice_.sum()
                 assert tv_distance(q[0], cond.sum(axis=1)) < 0.25
@@ -266,24 +329,16 @@ class TestConditionals:
         tables = EnergyTables(unary=unary, pairwise=tables.pairwise,
                               goal=tables.goal)
         ms = lbp(tables, TIGHT)
-        with pytest.raises(DegenerateCondition):
-            conditional_marginals(ms, 1)
+        assert singleton_conditionals(ms)[1].tolist() == [False, True, False, False]
 
 
 class TestSetConditionals:
-    def test_singleton_equals_conditional(self):
-        tables = collision_instance(1)
-        ms = lbp(tables, TIGHT)
-        for a0 in range(4):
-            np.testing.assert_array_equal(
-                set_conditional_marginals(ms, [a0]),
-                conditional_marginals(ms, a0))
-
     def test_full_set_equals_marginals(self):
         tables = collision_instance(2)
         ms = exact_marginals(tables)
-        q = set_conditional_marginals(ms, range(4))
-        np.testing.assert_allclose(q, ms.marginals[1:], atol=1e-12)
+        conds, degenerate = set_conditionals(ms, np.array([[0, 1, 2, 3]]))
+        assert not degenerate[0]
+        np.testing.assert_allclose(conds[0], ms.marginals[1:], atol=1e-12)
 
     def test_pair_set_matches_enumeration(self):
         rng = np.random.default_rng(9)
@@ -291,37 +346,23 @@ class TestSetConditionals:
         ms = exact_marginals(tables)
         joint = joint_distribution(tables)
         members = [1, 3]
-        q = set_conditional_marginals(ms, members)
+        q = set_conditionals(ms, np.array([members]))[0][0]
         slice_ = joint[members].sum(axis=0)
         cond = slice_ / slice_.sum()
         np.testing.assert_allclose(q[0], cond.sum(axis=1), atol=1e-12)
         np.testing.assert_allclose(q[1], cond.sum(axis=0), atol=1e-12)
 
-    def test_empty_set_raises(self):
-        ms = lbp(collision_instance(3), LbpConfig())
-        with pytest.raises(EmptyConditioningSet):
-            set_conditional_marginals(ms, [])
-
-    def test_out_of_range_raises(self):
-        for tables in (collision_instance(3), random_tables(np.random.default_rng(3), m=1)):
-            ms = lbp(tables, LbpConfig())
-            for bad in (-1, 4):
-                with pytest.raises(IndexError):
-                    conditional_marginals(ms, bad)
-                with pytest.raises(IndexError):
-                    set_conditional_marginals(ms, [0, bad])
-
     def test_no_actors_is_never_degenerate(self):
         # candidate 2 holds ego mass ~4e-18; with no actors nothing is
-        # conditioned, so both views return the empty prediction
+        # conditioned, so every row is the empty prediction
         tables = EnergyTables(unary=np.array([[0.0, 1.0, 40.0]]),
                               pairwise=np.zeros((1, 1, 3, 3)), goal=np.zeros(3))
         ms = lbp(tables, LbpConfig())
         assert ms.marginals[0, 2] < 1e-12
-        assert conditional_marginals(ms, 2).shape == (0, 3)
-        assert set_conditional_marginals(ms, [2]).shape == (0, 3)
+        conds, degenerate = set_conditionals(ms, np.array([[2]]))
+        assert conds.shape == (1, 0, 3) and not degenerate[0]
 
-    def test_batch_rows_equal_single_set_views(self):
+    def test_batch_rows_equal_single_row_calls(self):
         tables = collision_instance(4)
         unary = tables.unary.copy()
         unary[0, 1:3] += 1e4
@@ -331,11 +372,10 @@ class TestSetConditionals:
         conditionals, degenerate = set_conditionals(ms, members)
         assert degenerate.tolist() == [False, True, False, False, False]
         for row, cond, bad in zip(members, conditionals, degenerate):
-            if bad:
-                with pytest.raises(DegenerateCondition):
-                    set_conditional_marginals(ms, row)
-            else:
-                np.testing.assert_array_equal(cond, set_conditional_marginals(ms, row))
+            one, one_bad = set_conditionals(ms, row[None])
+            assert one_bad.tolist() == [bad]
+            if not bad:
+                np.testing.assert_array_equal(cond, one[0])
 
 
 def sparse_potentials(rng, m, k, zero_frac, coupling=0.7):
@@ -366,7 +406,7 @@ class TestEdgeListMatchesDenseOracle:
             res = lbp_pass(log_node, log_edge, cfg)
             lm, lpb, conv, iters, resid, _, _ = dense_lbp_pass(log_node, log_edge, cfg)
             np.testing.assert_allclose(res.log_marginals, lm, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(res.log_pairwise, lpb, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.log_pairwise_beliefs, lpb, rtol=0, atol=1e-12)
             assert res.iters_used == iters
             assert res.converged == conv
             assert len(res.residuals) == len(resid)
@@ -381,9 +421,9 @@ class TestEdgeListMatchesDenseOracle:
         lm, lpb, conv, iters, resid, dlm, dlpb = dense_lbp_pass(
             log_node, log_edge, cfg, node_dot=node_dot)
         np.testing.assert_allclose(res.log_marginals, lm, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.log_pairwise, lpb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.log_pairwise_beliefs, lpb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.d_log_marginals, dlm, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(res.d_log_pairwise, dlpb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.d_log_pairwise_beliefs, dlpb, rtol=0, atol=1e-12)
         assert res.iters_used == iters == cfg.max_iters
         assert res.converged == conv
         assert len(res.residuals) == len(resid)
@@ -392,11 +432,11 @@ class TestEdgeListMatchesDenseOracle:
 def assert_engine_equal(res, want, tangents=False):
     lm, lpb, conv, iters, resid, dlm, dlpb = want
     assert np.array_equal(res.log_marginals, lm)
-    assert np.array_equal(res.log_pairwise, lpb)
+    assert np.array_equal(res.log_pairwise_beliefs, lpb)
     assert (res.converged, res.iters_used, res.residuals) == (conv, iters, resid)
     if tangents:
         assert np.array_equal(res.d_log_marginals, dlm)
-        assert np.array_equal(res.d_log_pairwise, dlpb)
+        assert np.array_equal(res.d_log_pairwise_beliefs, dlpb)
 
 
 # (nodes, candidates, share of zero blocks): K of 1, 12 and 16, a single

@@ -12,8 +12,8 @@ from reactplan.errors import DivergenceError, InvalidIgnoreSize
 from reactplan.geometry import OrientedBox, Pose2, boxes_overlap
 from reactplan.inference import (LbpConfig, edge_potentials, exact_marginals, lbp,
                                  lbp_pass)
-from reactplan.learning import (LOG_CLIP, TrainConfig, _loss_report,
-                                _unary_tangents, batch_loss, gradient,
+from reactplan.learning import (LOG_CLIP, TrainConfig, _unary_tangents,
+                                batch_loss, gradient,
                                 label_and_ignore, load_dataset, loss,
                                 save_dataset, synthetic_dataset, train)
 from reactplan.sampler import SamplerConfig
@@ -85,7 +85,7 @@ class TestLoss:
         tables = EnergyTables(unary=np.zeros((1, k)),
                               pairwise=np.zeros((1, 1, k, k)), goal=np.zeros(k))
         ms = exact_marginals(tables)
-        report = loss(tables, ms, [(0, ())])
+        report = loss(ms, [(0, ())])
         assert report.node_term == pytest.approx(-(1 / 4) * math.log(1 / 4))
         assert report.edge_term == 0.0
         assert report.total == pytest.approx(report.node_term)
@@ -97,7 +97,7 @@ class TestLoss:
         tables = EnergyTables(unary=unary, pairwise=np.zeros((1, 1, k, k)),
                               goal=np.zeros(k))
         ms = exact_marginals(tables)
-        report = loss(tables, ms, [(2, ())])
+        report = loss(ms, [(2, ())])
         assert report.total == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_manual_recomputation(self):
@@ -105,7 +105,7 @@ class TestLoss:
         tables = random_tables(rng, m=2, k=3, coupling=0.6)
         ms = exact_marginals(tables)
         labels = [(0, (2,)), (1, ())]
-        report = loss(tables, ms, labels)
+        report = loss(ms, labels)
         k = 3
         lm = ms.log_marginals
         p0 = np.exp(lm[0])
@@ -124,7 +124,7 @@ class TestLoss:
         tables = random_tables(rng, m=2, k=3, coupling=0.6)
         ms = exact_marginals(tables)
         labels = [(0, ()), (1, ())]
-        raw = loss(tables, ms, labels)
+        raw = loss(ms, labels)
         k = 3
         expected_nodes = -(1 / k) * (ms.log_marginals[0, 0] + ms.log_marginals[1, 1])
         assert raw.node_term == pytest.approx(expected_nodes, abs=1e-12)
@@ -134,7 +134,7 @@ class TestLoss:
         tables = random_tables(rng, m=2, k=4, coupling=0.5)
         ms = exact_marginals(tables)
         labels = [(1, ()), (3, ())]
-        report = loss(tables, ms, labels)
+        report = loss(ms, labels)
         k = 4
         plain = (-(1 / k) * (math.log(ms.marginals[0, 1]) + math.log(ms.marginals[1, 3]))
                  - (1 / k ** 2) * math.log(ms.pairwise_beliefs[0, 1, 1, 3]))
@@ -147,7 +147,7 @@ class TestLoss:
         tables = EnergyTables(unary=unary, pairwise=np.zeros((1, 1, k, k)),
                               goal=np.zeros(k))
         ms = exact_marginals(tables)
-        report = loss(tables, ms, [(0, ())])
+        report = loss(ms, [(0, ())])
         assert report.clipped
         assert report.node_term == pytest.approx(-(1 / k) * LOG_CLIP)
 
@@ -156,13 +156,12 @@ class TestLoss:
         tables = random_tables(rng, m=3, k=4, coupling=0.5)
         ms = lbp(tables, LbpConfig(max_iters=100, tol=1e-12))
         labels = [(0, (1,)), (2, ()), (3, (0,))]
-        base = loss(tables, ms, labels)
+        base = loss(ms, labels)
         unary = tables.unary.copy()
         unary[1] += 7.3
         shifted_tables = EnergyTables(unary=unary, pairwise=tables.pairwise,
                                       goal=tables.goal)
-        shifted = loss(shifted_tables, lbp(shifted_tables,
-                                           LbpConfig(max_iters=100, tol=1e-12)),
+        shifted = loss(lbp(shifted_tables, LbpConfig(max_iters=100, tol=1e-12)),
                        labels)
         assert shifted.total == pytest.approx(base.total, abs=1e-9)
 
@@ -178,8 +177,8 @@ class TestLoss:
             moved = EnergyTables(unary=tables.unary[order],
                                  pairwise=tables.pairwise[order][:, order],
                                  goal=tables.goal)
-            base = loss(tables, lbp(tables, cfg), labels)
-            again = loss(moved, lbp(moved, cfg), [labels[i] for i in order])
+            base = loss(lbp(tables, cfg), labels)
+            again = loss(lbp(moved, cfg), [labels[i] for i in order])
             assert again.total == pytest.approx(base.total, abs=1e-9)
             assert again.node_term == pytest.approx(base.node_term, abs=1e-9)
 
@@ -196,21 +195,21 @@ def random_labels(rng, m, k, ignore_sizes):
 
 
 def beliefs_with_tangents(rng, m, k, tables=None):
-    """Log beliefs of a random scene and their tangents along four random
+    """Beliefs of a random scene with their tangents along four random
     node-potential directions, after a few fixed message-passing iterations."""
     tables = tables or random_tables(rng, m=m, k=k, coupling=0.5)
-    res = lbp_pass(-tables.unary, edge_potentials(tables.pairwise),
-                   LbpConfig(max_iters=6, fixed_iterations=True),
-                   node_dot=rng.normal(size=(4, m, k)))
-    return res.log_marginals, res.log_pairwise, res.d_log_marginals, res.d_log_pairwise
+    return lbp_pass(-tables.unary, edge_potentials(tables.pairwise),
+                    LbpConfig(max_iters=6, fixed_iterations=True),
+                    node_dot=rng.normal(size=(4, m, k)))
 
 
-def assert_matches_reference(log_marg, lpb, labels, d_log_marg, d_lpb):
+def assert_matches_reference(ms, labels):
     """Totals and gradient within 1e-12 relative of the loop oracle, with the
     same clip flag; returns the report."""
-    node, edge, grad, clipped = loss_terms_reference(log_marg, lpb, labels,
-                                                     d_log_marg, d_lpb)
-    report = _loss_report(log_marg, lpb, labels, d_log_marg, d_lpb)
+    node, edge, grad, clipped = loss_terms_reference(
+        ms.log_marginals, ms.log_pairwise_beliefs, labels, ms.d_log_marginals,
+        ms.d_log_pairwise_beliefs)
+    report = loss(ms, labels)
     assert report.node_term == pytest.approx(node, rel=1e-12, abs=0)
     assert report.edge_term == pytest.approx(edge, rel=1e-12, abs=0)
     assert report.total == pytest.approx(node + edge, rel=1e-12, abs=0)
@@ -230,8 +229,7 @@ class TestLossKernel:
         for _ in range(3):
             beliefs = beliefs_with_tangents(rng, m, 5)
             labels = random_labels(rng, m, 5, [k_ignore] * m)
-            assert not assert_matches_reference(*beliefs[:2], labels,
-                                                *beliefs[2:]).clipped
+            assert not assert_matches_reference(beliefs, labels).clipped
 
     @pytest.mark.parametrize("m", [2, 4, 9])
     def test_ragged_hand_written_labels(self, m):
@@ -239,7 +237,7 @@ class TestLossKernel:
         for _ in range(3):
             beliefs = beliefs_with_tangents(rng, m, 5)
             labels = random_labels(rng, m, 5, rng.integers(0, 4, size=m))
-            assert_matches_reference(*beliefs[:2], labels, *beliefs[2:])
+            assert_matches_reference(beliefs, labels)
 
     def test_clipped_terms_match(self):
         rng = np.random.default_rng(7)
@@ -249,7 +247,7 @@ class TestLossKernel:
         tables = EnergyTables(unary=unary, pairwise=tables.pairwise, goal=tables.goal)
         beliefs = beliefs_with_tangents(rng, 3, 4, tables)
         labels = [(1, (2,)), (0, ()), (3, (0, 1))]
-        report = assert_matches_reference(*beliefs[:2], labels, *beliefs[2:])
+        report = assert_matches_reference(beliefs, labels)
         assert report.clipped
         assert report.node_term > -(1 / 4) * LOG_CLIP
 
@@ -280,8 +278,7 @@ class TestGradient:
         res = lbp_pass(-unary, -(pairwise + pairwise.transpose(1, 0, 3, 2)),
                        TCFG.lbp, node_dot=_unary_tangents(feats))
         labels = [(0, ()), (1, ())]
-        g = _loss_report(res.log_marginals, res.log_pairwise, labels,
-                         res.d_log_marginals, res.d_log_pairwise).gradient
+        g = loss(res, labels).gradient
         assert g[1] == pytest.approx(g[3], abs=1e-8)
         assert g[7] == pytest.approx(g[9], abs=1e-8)
 

@@ -15,8 +15,7 @@ from reactplan.inference import LbpConfig, exact_marginals, lbp
 from reactplan.errors import InvalidSetSize
 from reactplan.geometry import Polyline, Pose2
 from reactplan.planner import (PlannerConfig, conditioning_sets,
-                               ego_pair_energy, interpolated_objective,
-                               nonreactive_objective, plan, reactive_objective)
+                               ego_pair_energy, plan, score)
 from reactplan.sampler import KinematicState
 from reactplan.scenarios import builtin_templates
 
@@ -27,6 +26,12 @@ def cfg_for(variant="reactive", lambda_b=1.0, lambda_c=1.0, w_goal=0.0,
             set_size=None):
     return PlannerConfig(variant=variant, set_size=set_size, lambda_b=lambda_b,
                          lambda_c=lambda_c, w_goal=w_goal, lbp=TIGHT)
+
+
+def objective_values(tables, ms, cfg, variant, set_size=None, cands=None):
+    """All K objective values of ``variant`` under ``cfg``'s weights."""
+    cfg = replace(cfg, variant=variant, set_size=set_size)
+    return score(cands, tables, ms, cfg).objective_values
 
 
 def make_ego_candidates(k, spacing=1.0):
@@ -47,9 +52,8 @@ class TestReactiveObjective:
         tables = ego_only_tables(rng)
         ms = exact_marginals(tables)
         cfg = cfg_for(w_goal=2.0)
-        for a0 in range(4):
-            expected = tables.unary[0, a0] + 2.0 * tables.goal[a0]
-            assert reactive_objective(tables, ms, a0, cfg) == pytest.approx(expected)
+        expected = tables.unary[0] + 2.0 * tables.goal
+        assert objective_values(tables, ms, cfg, "reactive") == pytest.approx(expected)
 
     def test_independence_collapses_to_nonreactive(self):
         rng = np.random.default_rng(1)
@@ -60,9 +64,8 @@ class TestReactiveObjective:
         tables = EnergyTables(unary=tables.unary, pairwise=pw, goal=tables.goal)
         ms = lbp(tables, TIGHT)
         cfg = cfg_for(lambda_c=0.0, w_goal=1.0)
-        for a0 in range(4):
-            assert reactive_objective(tables, ms, a0, cfg) == pytest.approx(
-                nonreactive_objective(tables, ms, a0, cfg), abs=1e-9)
+        assert objective_values(tables, ms, cfg, "reactive") == pytest.approx(
+            objective_values(tables, ms, cfg, "nonreactive"), abs=1e-9)
 
     def test_matches_direct_conditional_expectation(self):
         # brute force: expectation of (ego unary + ego/actor interaction +
@@ -75,12 +78,11 @@ class TestReactiveObjective:
             joint = joint_distribution(tables)
             grid = joint_energy_grid(tables, include_actor_actor=False,
                                      ego_interaction="both")
-            cfg = cfg_for(w_goal=0.7)
+            values = objective_values(tables, ms, cfg_for(w_goal=0.7), "reactive")
             for a0 in range(3):
                 cond = joint[a0] / joint[a0].sum()
                 brute = float((cond * grid[a0]).sum()) + 0.7 * tables.goal[a0]
-                assert reactive_objective(tables, ms, a0, cfg) == pytest.approx(
-                    brute, abs=1e-9)
+                assert values[a0] == pytest.approx(brute, abs=1e-9)
 
 
 class TestNonReactiveObjective:
@@ -89,9 +91,8 @@ class TestNonReactiveObjective:
         tables = ego_only_tables(rng)
         ms = exact_marginals(tables)
         cfg = cfg_for(variant="nonreactive", w_goal=1.0)
-        for a0 in range(4):
-            expected = tables.unary[0, a0] + tables.goal[a0]
-            assert nonreactive_objective(tables, ms, a0, cfg) == pytest.approx(expected)
+        expected = tables.unary[0] + tables.goal
+        assert objective_values(tables, ms, cfg, "nonreactive") == pytest.approx(expected)
 
     def test_symmetric_interaction_decided_by_unary_plus_goal(self):
         rng = np.random.default_rng(4)
@@ -103,7 +104,7 @@ class TestNonReactiveObjective:
         tables = EnergyTables(unary=unary, pairwise=pw, goal=np.abs(rng.normal(size=k)))
         ms = exact_marginals(tables)
         cfg = cfg_for(variant="nonreactive", w_goal=1.0)
-        values = [nonreactive_objective(tables, ms, a0, cfg) for a0 in range(k)]
+        values = objective_values(tables, ms, cfg, "nonreactive")
         expected = np.argmin(tables.unary[0] + tables.goal)
         assert np.argmin(values) == expected
 
@@ -121,8 +122,7 @@ class TestNonReactiveObjective:
                                      ego_interaction="both")
             brute = [(p_actors * grid[a0]).sum() for a0 in range(4)]
             cfg = cfg_for(variant="nonreactive", w_goal=0.0)
-            values = [nonreactive_objective(tables, ms, a0, cfg)
-                      for a0 in range(4)]
+            values = objective_values(tables, ms, cfg, "nonreactive")
             assert int(np.argmin(values)) == int(np.argmin(brute))
 
 
@@ -134,9 +134,9 @@ class TestInterpolatedObjective:
             ms = lbp(tables, TIGHT)
             cands = make_ego_candidates(5)
             cfg = cfg_for(w_goal=0.3)
-            for a0 in range(5):
-                assert interpolated_objective(tables, ms, a0, 1, cfg, cands) == \
-                    reactive_objective(tables, ms, a0, cfg)
+            assert np.array_equal(
+                objective_values(tables, ms, cfg, "interpolated", 1, cands),
+                objective_values(tables, ms, cfg, "reactive"))
 
     def test_full_set_argmin_equals_nonreactive_argmin(self):
         rng = np.random.default_rng(7)
@@ -145,9 +145,8 @@ class TestInterpolatedObjective:
             ms = lbp(tables, TIGHT)
             cands = make_ego_candidates(5)
             cfg = cfg_for(w_goal=0.3)
-            inter = [interpolated_objective(tables, ms, a0, 5, cfg, cands)
-                     for a0 in range(5)]
-            nonre = [nonreactive_objective(tables, ms, a0, cfg) for a0 in range(5)]
+            inter = objective_values(tables, ms, cfg, "interpolated", 5, cands)
+            nonre = objective_values(tables, ms, cfg, "nonreactive")
             assert int(np.argmin(inter)) == int(np.argmin(nonre))
 
     def test_pair_set_matches_enumeration(self):
@@ -158,6 +157,7 @@ class TestInterpolatedObjective:
         cands = make_ego_candidates(4)
         cfg = cfg_for(w_goal=0.0)
         pair = ego_pair_energy(tables)
+        values = objective_values(tables, ms, cfg, "interpolated", 2, cands)
         for a0 in range(4):
             members = conditioning_sets(cands, 2)[a0].tolist()
             slice_ = joint[members].sum(axis=0)
@@ -165,8 +165,7 @@ class TestInterpolatedObjective:
             q = np.stack([cond.sum(axis=1), cond.sum(axis=0)])
             brute = tables.unary[0, a0] + float(np.sum(q * pair[:, a0, :])) \
                 + float(np.sum(q * tables.unary[1:]))
-            assert interpolated_objective(tables, ms, a0, 2, cfg, cands) == \
-                pytest.approx(brute, abs=1e-9)
+            assert values[a0] == pytest.approx(brute, abs=1e-9)
 
     def test_invalid_set_size(self):
         rng = np.random.default_rng(9)
@@ -174,7 +173,7 @@ class TestInterpolatedObjective:
         ms = lbp(tables, TIGHT)
         cands = make_ego_candidates(3)
         with pytest.raises(InvalidSetSize):
-            interpolated_objective(tables, ms, 0, 4, cfg_for(), cands)
+            objective_values(tables, ms, cfg_for(), "interpolated", 4, cands)
 
     def test_conditioning_set_contains_candidate_and_nearest(self):
         cands = make_ego_candidates(5)      # lateral offsets 0, 1, 4, 9, 16
