@@ -7,7 +7,8 @@ from .learning import (LossReport, TrainConfig, TrainingExample, gradient,
                        label_and_ignore, loss, synthetic_dataset, train)
 from .planner import PlanResult, PlannerConfig, plan
 from .sampler import (CandidateSet, KinematicState, SamplerConfig, Trajectory,
-                      estimate_state, nearest_candidates, sample_candidates)
+                      estimate_state, nearest_candidates, sample_candidates,
+                      sample_scene)
 from .scenarios import CarFollowingParams, Lane, Scenario, builtin_templates
 from .simulator import (EpisodeResult, SimConfig, SuiteResult,
                         actor_policy_step, run_suite, step_episode)

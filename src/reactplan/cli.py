@@ -22,7 +22,7 @@ from .errors import DivergenceError, NumericalFailure, ReactplanError
 from .inference import lbp
 from .learning import TrainConfig, load_dataset, train
 from .planner import plan
-from .sampler import KinematicState, derived_seed, sample_candidates
+from .sampler import derived_seed, sample_candidates, sample_scene
 from .scenarios import Scenario, builtin_templates
 from .simulator import run_suite
 
@@ -67,7 +67,7 @@ def _out_dir(args) -> Path:
 
 def _scene_inputs(scenario: Scenario, cfg: RunConfig):
     """Candidate sets and tables for the scenario at t = 0."""
-    states = [KinematicState(scenario.ego.state.pose, scenario.ego.state.speed)]
+    states = [scenario.ego.state]
     boxes = [scenario.ego.box]
     lanes = [scenario.lanes[scenario.ego.route].line]
     refs = [scenario.ego.ref_speed]
@@ -76,10 +76,8 @@ def _scene_inputs(scenario: Scenario, cfg: RunConfig):
         boxes.append(actor.box)
         lanes.append(scenario.lanes[actor.route].line)
         refs.append(actor.behavior.desired_speed)
-    candidates = []
-    for idx, state in enumerate(states):
-        seed = derived_seed(cfg.seed, idx)
-        candidates.append(sample_candidates(state, replace(cfg.sampler, seed=seed)))
+    candidates = sample_scene([(s.pose.x, s.pose.y, s.pose.heading) for s in states],
+                              [s.speed for s in states], cfg.sampler, (cfg.seed,))
     tables = build_tables(candidates, boxes, lanes, refs,
                           scenario.goal_target(), cfg.energy)
     return candidates, tables

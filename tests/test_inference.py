@@ -377,6 +377,23 @@ class TestSetConditionals:
             if not bad:
                 np.testing.assert_array_equal(cond, one[0])
 
+    @pytest.mark.parametrize("members", [[[-1]], [[4]], [[0, -4]], [[1, 1]],
+                                         [[0, 2], [3, 3]], [[2, 0, 2]]])
+    def test_rejects_members_out_of_range_or_repeated(self, members):
+        # three vehicles, K = 4: -1 would silently read candidate 3 and a
+        # repeat would count its ego mass twice in the degenerate test
+        ms = exact_marginals(collision_instance(0))
+        assert (ms.n_nodes, ms.k) == (3, 4)
+        with pytest.raises(IndexError):
+            set_conditionals(ms, np.array(members))
+
+    def test_accepts_every_in_range_set_in_any_order(self):
+        ms = exact_marginals(collision_instance(0))
+        forward, bad = set_conditionals(ms, np.array([[0, 1, 2, 3], [3, 0, 1, 2]]))
+        assert not bad.any()
+        np.testing.assert_allclose(forward[0], forward[1], atol=1e-15)
+        assert set_conditionals(ms, np.zeros((0, 2), dtype=int))[0].shape == (0, 2, 4)
+
 
 def sparse_potentials(rng, m, k, zero_frac, coupling=0.7):
     """Random log potentials in which about ``zero_frac`` of the unordered

@@ -3,18 +3,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (candidate_set, draw_controls_reference,
+from conftest import (candidate_set, draw_controls, draw_controls_reference,
                       integrate_controls_reference, stationary_trajectory,
                       straight_trajectory, trajectory_l2)
 from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL, CandidateSet,
                                KinematicState, SamplerConfig, Trajectory,
-                               _draw_control_arrays, _pcg64_words, _rollout,
-                               estimate_state, nearest_candidates, sample_candidates)
+                               _pcg64_words, _rollout, _sample, _seed_words,
+                               derived_seed, derived_seeds, estimate_state,
+                               nearest_candidates, sample_candidates, sample_scene)
+
+
+def rollout_one(state, controls, cfg):
+    """``_rollout`` of one vehicle's control arrays from ``state``."""
+    pose = state.pose
+    poses, speeds = _rollout(np.array([[pose.x, pose.y, pose.heading]]),
+                             np.array([state.speed]), *(c[None] for c in controls), cfg)
+    return poses[0], speeds[0]
 
 
 def make_past(step_lengths, dt=0.1, heading=0.0):
@@ -130,8 +139,8 @@ class TestIntegrateControlsMatchesReference:
             speed = float(rng.choice([0.0, rng.uniform(0.0, 1.5 * cfg.v_max)]))
             state = KinematicState(Pose2(*rng.uniform(-500, 500, size=2),
                                          rng.uniform(-math.pi, math.pi)), speed)
-            controls = _draw_control_arrays(cfg, range(1, cfg.k))[1:]
-            poses, speeds = _rollout(state, *controls, cfg)
+            controls = draw_controls(cfg, range(1, cfg.k))[1:]
+            poses, speeds = rollout_one(state, controls, cfg)
             want_poses, want_speeds = integrate_controls_reference(state, *controls, cfg)
             got = sample_candidates(state, cfg, start_time=1.5)
             assert len(poses) == len(want_poses) + 1 == cfg.k
@@ -150,8 +159,8 @@ class TestIntegrateControlsMatchesReference:
     def test_single_waypoint_horizon(self):
         cfg = SamplerConfig(k=5, horizon_steps=1, seed=4)
         state = KinematicState(Pose2(3.0, -2.0, 0.7), 6.0)
-        controls = _draw_control_arrays(cfg, range(1, cfg.k))[1:]
-        poses, speeds = _rollout(state, *controls, cfg)
+        controls = draw_controls(cfg, range(1, cfg.k))[1:]
+        poses, speeds = rollout_one(state, controls, cfg)
         want_poses, want_speeds = integrate_controls_reference(state, *controls, cfg)
         assert poses.shape == (cfg.k, 1, 3)
         assert np.array_equal(poses[1:], want_poses)
@@ -174,7 +183,7 @@ class TestDrawControlsMatchesReference:
                                     accel_range=(-4.0, 3.0),
                                     curvature_range=(-0.2, 0.25),
                                     spiral_rate_range=(-0.1, 0.05))
-                mode, accel, curvature, rate = _draw_control_arrays(cfg, range(1, cfg.k))
+                mode, accel, curvature, rate = draw_controls(cfg, range(1, cfg.k))
                 assert mode.dtype.kind == "i" and accel.dtype == np.float64
                 for n, idx in enumerate(range(1, cfg.k)):
                     assert (mode[n], accel[n], curvature[n], rate[n]) == \
@@ -184,10 +193,10 @@ class TestDrawControlsMatchesReference:
 
     def test_batch_draw_does_not_depend_on_k(self):
         cfg = SamplerConfig(k=19, seed=2 ** 33 + 5)
-        singles = [tuple(x[0] for x in _draw_control_arrays(cfg, [idx]))
+        singles = [tuple(x[0] for x in draw_controls(cfg, [idx]))
                    for idx in range(1, cfg.k)]
         for k in (2, 3, 11, 19):
-            mode, accel, curvature, rate = _draw_control_arrays(cfg, range(1, k))
+            mode, accel, curvature, rate = draw_controls(cfg, range(1, k))
             assert len(mode) == k - 1
             for n, c in enumerate(singles[:k - 1]):
                 assert (mode[n], accel[n], curvature[n], rate[n]) == c
@@ -200,14 +209,14 @@ class TestPcg64Words:
     def test_equals_numpy_generator_words(self, seed, indices):
         want = np.array([np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(4)
                          for i in indices], dtype=np.uint64).reshape(-1, 4)
-        got = _pcg64_words(seed, indices)
+        got = _pcg64_words([_seed_words(seed)], indices)[0]
         assert got.dtype == np.uint64
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("indices", [[-1], [2 ** 32], [3, 2 ** 40]])
     def test_rejects_indices_outside_one_word(self, indices):
         with pytest.raises(ValueError, match="indices"):
-            _pcg64_words(5, indices)
+            _pcg64_words([[5]], indices)
 
     def test_sampling_builds_no_generator_objects(self, monkeypatch):
         built = dict.fromkeys(("SeedSequence", "PCG64", "default_rng", "Generator"), 0)
@@ -224,7 +233,105 @@ class TestPcg64Words:
         state = KinematicState(Pose2(1.0, -2.0, 0.7), speed=6.0)
         cands = sample_candidates(state, SamplerConfig(k=16, seed=2 ** 40 + 3))
         assert len(cands) == 16
+        scene = sample_scene(np.zeros((5, 3)), np.ones(5), SamplerConfig(k=16), (7, 2 ** 40))
+        assert len(scene) == 5 and derived_seed(3, 2 ** 70) >= 0
         assert built == dict.fromkeys(built, 0)
+
+
+SEED_PARTS = st.lists(st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 9,
+                                                 2 ** 130 + 1]),
+                                st.integers(0, 2 ** 200)), max_size=6)
+
+
+def scene_states(rng, m):
+    """Start poses (M, 3), headings beyond (-pi, pi] included, and speeds (M,)
+    with exact zeros (both signs) and speeds above the default v_max."""
+    poses = np.column_stack([rng.uniform(-500.0, 500.0, (m, 2)), rng.uniform(-20.0, 20.0, m)])
+    speeds = rng.choice([0.0, -0.0, 3.0, rng.uniform(0.0, 25.0)], size=m)
+    return poses, speeds
+
+
+def bits(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+class TestSampleScene:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(m=st.integers(1, 25), k=st.integers(1, 29), horizon=st.integers(1, 11),
+           parts=SEED_PARTS, state_seed=st.integers(0, 2 ** 32 - 1),
+           start_time=st.sampled_from([0.0, 1.5]))
+    def test_rows_equal_per_vehicle_calls_and_numpy_draws(self, m, k, horizon, parts,
+                                                          state_seed, start_time):
+        poses, speeds = scene_states(np.random.default_rng(state_seed), m)
+        cfg = SamplerConfig(k=k, horizon_steps=horizon, seed=11)
+        scene = sample_scene(poses, speeds, cfg, parts, start_time=start_time)
+        assert len(scene) == m
+        for i, cands in enumerate(scene):
+            state = KinematicState(Pose2(*poses[i]), speeds[i])
+            vehicle_cfg = SamplerConfig(k=k, horizon_steps=horizon,
+                                        seed=derived_seed(*parts, i))
+            one = sample_candidates(state, vehicle_cfg, start_time=start_time)
+            assert (cands.start_time, cands.dt) == (start_time, cfg.dt)
+            assert bits(cands.poses, cands.speeds) == bits(one.poses, one.speeds)
+            draws = np.array([draw_controls_reference(vehicle_cfg, a)
+                              for a in range(1, k)]).reshape(k - 1, 4)
+            want_poses, want_speeds = integrate_controls_reference(state, *draws[:, 1:].T,
+                                                                  vehicle_cfg)
+            assert bits(cands.poses[1:], cands.speeds[1:]) == bits(want_poses, want_speeds)
+
+    def test_sets_are_views_of_one_array(self):
+        scene = sample_scene(np.zeros((4, 3)), np.ones(4), SamplerConfig(k=5), (1,))
+        base = scene[0].poses.base
+        assert base is not None and base.shape == (4, 5, 8, 3)
+        assert all(cands.poses.base is base for cands in scene)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(parts=SEED_PARTS, count=st.integers(0, 40))
+    @example(parts=[], count=3)
+    @example(parts=[7, 2 ** 32], count=30)
+    @example(parts=[2 ** 40 + 3, 2 ** 64 + 9, 1], count=30)
+    def test_derived_seeds_equal_numpy(self, parts, count):
+        want = [int(np.random.SeedSequence([*parts, i]).generate_state(1)[0])
+                for i in range(count)]
+        assert derived_seeds(parts, count).tolist() == want
+        assert [derived_seed(*parts, i) for i in range(count)] == want
+        assert derived_seed(*parts) == int(np.random.SeedSequence(parts).generate_state(1)[0])
+
+    def test_kernel_rows_permute_with_their_inputs(self):
+        # the public entry seeds row i with derived_seed(*parts, i), so a
+        # vehicle's stream follows its row; the kernel below takes one seed
+        # per row, and permuting states and seeds together permutes the sets
+        rng = np.random.default_rng(12)
+        cfg = SamplerConfig(k=9, horizon_steps=7)
+        for m in (2, 7, 19):
+            poses, speeds = scene_states(rng, m)
+            poses[:, 2] = wrap_angle(poses[:, 2])
+            seeds = derived_seeds((rng.integers(0, 2 ** 40),), m)[:, None]
+            perm = rng.permutation(m)
+            base = _sample(poses, speeds, seeds, cfg, 0.0)
+            moved = _sample(poses[perm], speeds[perm], seeds[perm], cfg, 0.0)
+            for j, cands in enumerate(moved):
+                assert bits(cands.poses, cands.speeds) == bits(base[perm[j]].poses,
+                                                               base[perm[j]].speeds)
+
+    @pytest.mark.parametrize("poses, speeds, match", [
+        (np.zeros((3, 3)), np.ones(2), "poses must be an"),
+        (np.zeros((3, 2)), np.ones(3), "poses must be an"),
+        (np.zeros(3), np.ones(1), "poses must be an"),
+        (np.zeros((2, 3)), np.ones((2, 1)), "poses must be an"),
+        (np.array([[0.0, np.nan, 0.0]]), np.ones(1), "finite"),
+        (np.array([[0.0, 0.0, np.inf]]), np.ones(1), "finite"),
+        (np.zeros((3, 3)), np.array([1.0, -1e-9, 2.0]), r"speeds\[1\] must be a finite"),
+        (np.zeros((2, 3)), np.array([np.nan, 1.0]), r"speeds\[0\] must be a finite"),
+        (np.zeros((2, 3)), np.array([1.0, np.inf]), r"speeds\[1\] must be a finite"),
+    ])
+    def test_rejects_bad_input(self, poses, speeds, match):
+        with pytest.raises(ValueError, match=match):
+            sample_scene(poses, speeds, SamplerConfig(), (1,))
+
+    def test_rejects_negative_seed_parts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_scene(np.zeros((1, 3)), np.ones(1), SamplerConfig(), (3, -1))
 
 
 class TestTrajectoryValidation:
@@ -287,7 +394,7 @@ class TestModeFrequencies:
         cfg = SamplerConfig(seed=123)
         n = 100_000
         counts = {MODE_LINE: 0, MODE_CIRCLE: 0, MODE_SPIRAL: 0}
-        for mode in _draw_control_arrays(cfg, range(1, n + 1))[0].tolist():
+        for mode in draw_controls(cfg, range(1, n + 1))[0].tolist():
             counts[mode] += 1
         for mode, p in zip((MODE_LINE, MODE_CIRCLE, MODE_SPIRAL), cfg.mode_probs):
             sigma = math.sqrt(n * p * (1 - p))

@@ -325,6 +325,40 @@ class TestStepEpisode:
             if step % sim_cfg.replan_steps:
                 assert seen[step] == seen[step - 1], step
 
+    def test_replans_build_no_state_config_or_seed_objects(self, monkeypatch):
+        built = dict.fromkeys((KinematicState, Pose2, SamplerConfig, "SeedSequence"), 0)
+        for cls in (KinematicState, Pose2, SamplerConfig):
+            def counting(self, cls=cls, init=cls.__post_init__):
+                built[cls] += 1
+                init(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        real_seq = np.random.SeedSequence
+
+        def counting_seq(*args, **kwargs):
+            built["SeedSequence"] += 1
+            return real_seq(*args, **kwargs)
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seq)
+        # counts at the end of every step (its actor step) and once each
+        # replan has sampled (its tables)
+        marks = []
+        for name in ("actor_policy_step", "build_tables"):
+            def recording(*args, name=name, real=getattr(simulator, name)):
+                marks.append((name, dict(built)))
+                return real(*args)
+            monkeypatch.setattr(simulator, name, recording)
+        cfg = RunConfig(sampler=SamplerConfig(k=4, horizon_steps=6))
+        scenario, planner_cfg = builtin_templates()["merge_dense"], cfg.planner_config()
+        built.update(dict.fromkeys(built, 0))
+        step_episode(scenario, planner_cfg, cfg.energy, cfg.sampler,
+                     SimConfig(replan_steps=2), seed=3)
+        replans = [i for i, (name, _) in enumerate(marks) if name == "build_tables"]
+        assert len(replans) > 3 and replans[0] == 0
+        for i in replans[1:]:
+            assert marks[i - 1][0] == "actor_policy_step"
+            assert marks[i][1] == marks[i - 1][1], i
+        totals = marks[-1][1]
+        assert totals[KinematicState] == totals[SamplerConfig] == totals["SeedSequence"] == 0
+
     def test_open_road_reaches_goal_in_expected_time(self):
         cfg = RunConfig()
         scenario = open_road_scenario()
