@@ -22,7 +22,7 @@ from .errors import DivergenceError, NumericalFailure, ReactplanError
 from .inference import lbp
 from .learning import TrainConfig, load_dataset, train
 from .planner import plan
-from .sampler import derived_seed, sample_candidates, sample_scene
+from .sampler import sample_scene
 from .scenarios import Scenario, builtin_templates
 from .simulator import run_suite
 
@@ -65,19 +65,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _scene_candidates(scenario: Scenario, cfg: RunConfig):
+    """Candidate sets of every vehicle of the scenario at t = 0, ego first."""
+    states = [scenario.ego.state] + [actor.state for actor in scenario.actors]
+    return sample_scene([(s.pose.x, s.pose.y, s.pose.heading) for s in states],
+                        [s.speed for s in states], cfg.sampler, (cfg.seed,))
+
+
 def _scene_inputs(scenario: Scenario, cfg: RunConfig):
     """Candidate sets and tables for the scenario at t = 0."""
-    states = [scenario.ego.state]
     boxes = [scenario.ego.box]
     lanes = [scenario.lanes[scenario.ego.route].line]
     refs = [scenario.ego.ref_speed]
     for actor in scenario.actors:
-        states.append(actor.state)
         boxes.append(actor.box)
         lanes.append(scenario.lanes[actor.route].line)
         refs.append(actor.behavior.desired_speed)
-    candidates = sample_scene([(s.pose.x, s.pose.y, s.pose.heading) for s in states],
-                              [s.speed for s in states], cfg.sampler, (cfg.seed,))
+    candidates = _scene_candidates(scenario, cfg)
     tables = build_tables(candidates, boxes, lanes, refs,
                           scenario.goal_target(), cfg.energy)
     return candidates, tables
@@ -89,12 +93,7 @@ def cmd_sample(args) -> int:
     n_vehicles = 1 + len(scenario.actors)
     if not 0 <= args.actor < n_vehicles:
         raise CliError(f"actor id {args.actor} out of range [0, {n_vehicles})")
-    if args.actor == 0:
-        state = scenario.ego.state
-    else:
-        state = scenario.actors[args.actor - 1].state
-    seed = derived_seed(cfg.seed, args.actor)
-    candidates = sample_candidates(state, replace(cfg.sampler, seed=seed))
+    candidates = _scene_candidates(scenario, cfg)[args.actor]
     out = _out_dir(args)
     path = out / "candidates.csv"
     with open(path, "w", newline="") as fh:

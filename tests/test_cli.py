@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reactplan import cli
 from reactplan.cli import main
 from reactplan.config import RunConfig
 from reactplan.learning import save_dataset, synthetic_dataset
-from reactplan.sampler import SamplerConfig
-from reactplan.scenarios import builtin_templates
+from reactplan.sampler import SamplerConfig, sample_scene
+from reactplan.scenarios import Scenario, builtin_templates
 
 
 @pytest.fixture()
@@ -90,6 +91,38 @@ class TestCmdSample:
     def test_unknown_actor_exits_2(self, tmp_path, scenario_file):
         assert main(["--out", str(tmp_path / "o"), "sample",
                      str(scenario_file), "--actor", "99"]) == 2
+
+    @pytest.mark.parametrize("actor", ["-1", "7"])
+    def test_out_of_range_actor_exits_2_before_sampling(self, tmp_path, scenario_file,
+                                                        monkeypatch, actor):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the actor id")
+        monkeypatch.setattr(cli, "sample_scene", no_sampling)
+        assert main(["--out", str(tmp_path / "o"), "sample",
+                     str(scenario_file), "--actor", actor]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("actor", [0, 1, 6])
+    def test_rows_equal_that_row_of_the_scene_sample(self, tmp_path, scenario_file,
+                                                     small_config, actor):
+        # infer and plan sample the scene with seed parts (seed,); sample
+        # writes row ``actor`` of that same call
+        out = tmp_path / "out"
+        assert main(["--config", str(small_config), "--seed", "9", "--out", str(out),
+                     "sample", str(scenario_file), "--actor", str(actor)]) == 0
+        scenario = Scenario.load(scenario_file)
+        states = [scenario.ego.state] + [a.state for a in scenario.actors]
+        cfg = RunConfig.load(small_config).sampler
+        want = sample_scene([(s.pose.x, s.pose.y, s.pose.heading) for s in states],
+                            [s.speed for s in states], cfg, (9,))[actor]
+        with open(out / "candidates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        k, t = want.speeds.shape
+        assert [(int(r["candidate"]), float(r["t"])) for r in rows] == \
+            [(a, w * cfg.dt) for a in range(k) for w in range(t)]
+        # repr() round-trips floats, so parsing the CSV gives the exact values
+        got = np.array([[float(r[c]) for c in ("x", "y", "heading", "speed")] for r in rows])
+        assert np.array_equal(got, np.dstack([want.poses, want.speeds]).reshape(k * t, 4))
 
     def test_missing_scenario_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "sample",
