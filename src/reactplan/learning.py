@@ -26,7 +26,7 @@ from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure,
 from .geometry import Polyline
 from .inference import (LbpConfig, MarginalSet, edge_potentials, lbp_pass, _lse,
                         _softmax)
-from .sampler import (CandidateSet, SamplerConfig, Trajectory, derived_seeds,
+from .sampler import (CandidateSet, SamplerConfig, Trajectory, derived_seed,
                       estimate_state, nearest_candidates, sample_candidates)
 
 LOG_CLIP = math.log(1e-30)
@@ -183,9 +183,9 @@ def example_candidates(pasts: list[Trajectory], seed: int,
                        sampler_cfg: SamplerConfig) -> list[CandidateSet]:
     """Candidate sets of the vehicles with these pasts; vehicle i samples with
     seed ``derived_seed(seed, i)``."""
-    seeds = derived_seeds((seed,), len(pasts)).tolist()
-    return [sample_candidates(estimate_state(past), replace(sampler_cfg, seed=s))
-            for past, s in zip(pasts, seeds)]
+    return [sample_candidates(estimate_state(past),
+                              replace(sampler_cfg, seed=derived_seed(seed, i)))
+            for i, past in enumerate(pasts)]
 
 
 def _unary_tangents(feats: np.ndarray) -> np.ndarray:

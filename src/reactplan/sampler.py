@@ -3,8 +3,11 @@
 Each candidate is drawn from one of three motion modes (straight line,
 circular arc, clothoid-style spiral) with uniformly sampled control
 parameters, then rolled out with midpoint integration. Candidate 0 is always
-the stationary trajectory so a stopping option exists. A vehicle's K
-candidates travel together as one ``CandidateSet`` of (K, T) arrays.
+the stationary trajectory so a stopping option exists. A vehicle with seed s
+draws from one numpy stream, ``PCG64(SeedSequence(s))``: candidate i >= 1
+takes its words 4(i - 1) to 4i - 1, so its draw depends on (s, i) only. A
+vehicle's K candidates travel together as one ``CandidateSet`` of (K, T)
+arrays.
 """
 from __future__ import annotations
 
@@ -213,197 +216,21 @@ def estimate_state(past: Trajectory) -> KinematicState:
     return KinematicState(pose=Pose2(p[0], p[1], p[2]), speed=speed)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
-# PCG64 LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_POOL_SIZE = 4
-
-
-def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) pairs of the first n hash steps of a SeedSequence
-    hash chain, each (n,) uint32: step j xors with init * mult**j and then
-    multiplies by init * mult**(j+1), mod 2**32. The chain does not depend
-    on the data, so the constants of every step are known in advance."""
-    chain = np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(n + 1)],
-                     dtype=np.uint32)
-    return chain[:-1], chain[1:]
-
-
-def _pool_rounds(xor: np.ndarray, mul: np.ndarray) -> list:
-    """Per source word of SeedSequence's pool mixing, the (xor, multiplier)
-    constants of its three hash steps, laid out by destination word; the
-    source's own slot is unused. The steps run in destination order after
-    the 4 steps of the pool fill."""
-    rounds, step = [], _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        x, m = np.zeros(_POOL_SIZE, np.uint32), np.zeros(_POOL_SIZE, np.uint32)
-        for dst in range(_POOL_SIZE):
-            if dst != src:
-                x[dst], m[dst] = xor[step], mul[step]
-                step += 1
-        rounds.append((src, x, m))
-    return rounds
-
-
-def _pcg_constants() -> tuple[np.ndarray, ...]:
-    """PCG64 seeds its 128-bit state s from (initstate S, increment I) as
-    s = (I + S) * A + I and steps s -> s * A + I before each output, so the
-    state behind output k = 1..4 is S * A**(k+1) + I * (1 + A + ... + A**(k+1))
-    mod 2**128. Returns the high and low 64-bit halves of those factors, each
-    (2, 4) (row 0 multiplies S, row 1 multiplies I), and the two 32-bit
-    halves of the low half."""
-    mod = 1 << 128
-    factors = [[pow(_PCG_MULT, k + 1, mod) for k in range(1, 5)],
-               [sum(pow(_PCG_MULT, j, mod) for j in range(k + 2)) % mod
-                for k in range(1, 5)]]
-    hi = np.array([[f >> 64 for f in row] for row in factors], dtype=np.uint64)
-    lo = np.array([[f & (1 << 64) - 1 for f in row] for row in factors], dtype=np.uint64)
-    return hi, lo, lo & np.uint64(_MASK32), lo >> np.uint64(32)
-
-
-_POOL_XOR, _POOL_MUL = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_SIZE)
-_POOL_ROUNDS = _pool_rounds(_POOL_XOR, _POOL_MUL)
-_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
-_PCG_HI, _PCG_LO, _PCG_LO0, _PCG_LO1 = _pcg_constants()
-_SHIFT16 = np.uint32(16)
-_SHIFT32, _SHIFT58, _SHIFT63 = (np.uint64(b) for b in (32, 58, 63))
-_SHIFT_01 = np.array([0, 1], dtype=np.uint64)
-
-
-def _hash(value: np.ndarray, xor, mul) -> np.ndarray:
-    value = (value ^ xor) * mul
-    return value ^ (value >> _SHIFT16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> _SHIFT16)
-
-
-def _seed_words(*values) -> list[int]:
-    """SeedSequence's entropy words of non-negative integers: the 32-bit
-    words of each value in turn, low first, with a single zero word for 0."""
-    words = []
-    for value in map(int, values):
-        if value < 0:
-            raise ValueError(f"seed parts must be non-negative, got {value}")
-        words.append(value & _MASK32)
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-    return words
-
-
-def _entropy(prefix, last) -> np.ndarray:
-    """SeedSequence entropy rows, zero-padded to the pool's 4 words: row
-    i * n + j of the (m * n, max(w + 1, 4)) uint32 result holds the words of
-    row i of the (m, w) ``prefix``, then the word ``last[j]``."""
-    prefix = np.asarray(prefix, dtype=np.uint32)
-    m, w = prefix.shape
-    entropy = np.zeros((m, len(last), max(w + 1, _POOL_SIZE)), dtype=np.uint32)
-    entropy[:, :, :w] = prefix[:, None]
-    entropy[:, :, w] = last
-    return entropy.reshape(m * len(last), entropy.shape[2])
-
-
-def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words)`` (n_words <= 8) for every
-    row of the ``_entropy`` array ``entropy``, (n, n_words) uint32, computed
-    for all rows at once and bit for bit as numpy computes it; zero words
-    that pad a row to the pool's 4 words change nothing.
-
-    The first 4 words are hashed into a pool of 4 words, every pool word is
-    mixed into the other three (one (n, 4) step per source word, since the
-    three updates of a round are independent), any words beyond the fourth
-    are mixed into every pool word, and state word j hashes pool word j mod 4.
-    """
-    w = entropy.shape[1]
-    pool = _hash(entropy[:, :_POOL_SIZE], _POOL_XOR[:_POOL_SIZE], _POOL_MUL[:_POOL_SIZE])
-    for src, xor, mul in _POOL_ROUNDS:
-        mixed = _mix(pool, _hash(pool[:, src, None], xor, mul))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    if w > _POOL_SIZE:
-        steps = 4 * _POOL_SIZE
-        xor, mul = _hash_constants(_INIT_A, _MULT_A, steps + _POOL_SIZE * (w - _POOL_SIZE))
-        for src in range(_POOL_SIZE, w):
-            pool = _mix(pool, _hash(entropy[:, src, None], xor[steps:steps + _POOL_SIZE],
-                                    mul[steps:steps + _POOL_SIZE]))
-            steps += _POOL_SIZE
-    if n_words > _POOL_SIZE:
-        pool = np.concatenate([pool, pool], axis=1)
-    return _hash(pool[:, :n_words], _STATE_XOR[:n_words], _STATE_MUL[:n_words])
-
-
 def derived_seed(*parts) -> int:
     """Stable seed derived from integer parts, e.g. (run seed, vehicle index):
     ``SeedSequence(parts).generate_state(1)[0]``."""
-    words = _seed_words(*parts) or [0]       # SeedSequence([]) hashes like [0]
-    return int(_seed_state(_entropy([words[:-1]], words[-1:]), 1)[0, 0])
-
-
-def derived_seeds(parts, count: int) -> np.ndarray:
-    """``derived_seed(*parts, i)`` for i in range(count), (count,) uint32, in
-    one pass."""
-    return _seed_state(_entropy([_seed_words(*parts)], np.arange(count)), 1)[:, 0]
-
-
-def _pcg64_words(seed_words, indices) -> np.ndarray:
-    """The first four raw words of ``PCG64(SeedSequence([seed, i]))`` for
-    every seed and every index i, (M, n, 4) uint64, bit for bit as numpy
-    computes them. Row m of the (M, w) ``seed_words`` holds the
-    ``_seed_words`` of seed m, so all M seeds span the same number of words;
-    0 <= i < 2**32.
-
-    The entropy of a stream is its seed's words, then i. SeedSequence turns
-    it into 8 state words, PCG64 takes its initstate and increment from
-    them, and each output is the XSL-RR permutation of a state from
-    ``_pcg_constants``, multiplied out in 64-bit halves.
-    """
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size and not (idx.min() >= 0 and idx.max() <= _MASK32):
-        raise ValueError("candidate indices must lie in [0, 2**32)")
-    # state words 2k (low) and 2k + 1 (high) as one uint64, (n, 4): viewing
-    # little-endian uint32 pairs as little-endian uint64 joins them
-    state = _seed_state(_entropy(seed_words, idx), 8).astype("<u4", copy=False).view("<u8")
-    # 128-bit values as 64-bit (hi, lo) halves, (n, 2): initstate S and the
-    # increment I = 2 * initseq + 1
-    hi = state[:, 0::2] << _SHIFT_01
-    hi[:, 1] |= state[:, 3] >> _SHIFT63
-    lo = state[:, 1::2] << _SHIFT_01
-    lo[:, 1] |= np.uint64(1)
-
-    # S * factor and I * factor mod 2**128 for all four outputs, (n, 2, 4);
-    # the high half of lo * factor_lo comes from 32-bit partial products
-    hi, lo = hi[:, :, None], lo[:, :, None]
-    lo0, lo1 = lo & np.uint64(_MASK32), lo >> _SHIFT32
-    mid = lo1 * _PCG_LO0 + ((lo0 * _PCG_LO0) >> _SHIFT32)
-    low_mid = (mid & np.uint64(_MASK32)) + lo0 * _PCG_LO1
-    prod_hi = (lo1 * _PCG_LO1 + (mid >> _SHIFT32) + (low_mid >> _SHIFT32)
-               + lo * _PCG_HI + hi * _PCG_LO)
-    prod_lo = lo * _PCG_LO
-    s_lo = prod_lo[:, 0] + prod_lo[:, 1]
-    s_hi = prod_hi[:, 0] + prod_hi[:, 1] + (s_lo < prod_lo[:, 0])
-
-    xored = s_hi ^ s_lo
-    rot = s_hi >> _SHIFT58
-    return ((xored >> rot) | (xored << (-rot & _SHIFT63))).reshape(len(seed_words), len(idx), 4)
+    return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
 def _draw_control_arrays(cfg: SamplerConfig, words: np.ndarray) -> tuple[np.ndarray, ...]:
     """Modes, accelerations, curvatures and curvature rates, each of shape
-    ``words.shape[:-1]``, from the (..., 4) ``_pcg64_words`` of candidates.
+    ``words.shape[:-1]``, from the (..., 4) raw 64-bit stream words of
+    candidates, four per candidate.
 
-    Each candidate owns an independent PCG64 stream seeded by (seed, index),
-    so the draw for one candidate never depends on how many others exist.
-    Its first four 64-bit words become uniform doubles as
-    ``Generator.uniform`` makes them, (word >> 11) * 2**-53 scaled to the
-    range: word 0 picks the mode, word 1 the acceleration, word 2 the
-    curvature (circle and spiral) and word 3 the curvature rate (spiral).
+    The words become uniform doubles as ``Generator.uniform`` makes them,
+    (word >> 11) * 2**-53 scaled to the range: word 0 picks the mode, word 1
+    the acceleration, word 2 the curvature (circle and spiral) and word 3 the
+    curvature rate (spiral). All four are drawn whatever the mode.
     """
     unit = (words >> np.uint64(11)) * 2.0 ** -53
 
@@ -473,12 +300,19 @@ def _rollout(start: np.ndarray, speed: np.ndarray, accel: np.ndarray, kappa0: np
     return poses, speeds
 
 
-def _sample(start: np.ndarray, speed: np.ndarray, seed_words, cfg: SamplerConfig,
+def _sample(start: np.ndarray, speed: np.ndarray, seeds, cfg: SamplerConfig,
             start_time: float) -> list[CandidateSet]:
     """The K candidates of each of M vehicles, vehicle i starting from pose
-    ``start[i]`` and speed ``speed[i]`` and drawing from the seed whose
-    words are ``seed_words[i]``; the sets are views of one array."""
-    words = _pcg64_words(seed_words, range(1, cfg.k))
+    ``start[i]`` and speed ``speed[i]`` and drawing from seed ``seeds[i]``;
+    the sets are views of one array.
+
+    Vehicle i reads one stream, ``PCG64(SeedSequence(seeds[i]))``, and
+    candidate a >= 1 takes its words 4(a - 1) to 4a - 1, so a candidate's
+    draw depends on its seed and index only, never on K or on other vehicles.
+    """
+    words = np.empty((len(seeds), cfg.k - 1, 4), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        row[:] = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(row.shape)
     _, accel, curvature, rate = _draw_control_arrays(cfg, words)
     poses, speeds = _rollout(start, speed, accel, curvature, rate, cfg)
     return [CandidateSet(start_time=start_time, dt=cfg.dt, poses=p, speeds=v)
@@ -489,13 +323,14 @@ def sample_candidates(state: KinematicState, cfg: SamplerConfig,
                       start_time: float = 0.0) -> CandidateSet:
     """Exactly K candidate trajectories anchored at the current pose.
 
-    Candidate 0 is the stationary trajectory; candidates 1..K-1 come from
-    per-candidate seeded control draws, which makes the output prefix-stable
+    Candidate 0 is the stationary trajectory; candidate a >= 1 draws its
+    controls from words 4(a - 1) to 4a - 1 of the stream
+    ``PCG64(SeedSequence(cfg.seed))``, which makes the output prefix-stable
     under increasing K and bit-identical for a fixed seed.
     """
     pose = state.pose
     return _sample(np.array([[pose.x, pose.y, pose.heading]]), np.array([state.speed]),
-                   [_seed_words(cfg.seed)], cfg, start_time)[0]
+                   [cfg.seed], cfg, start_time)[0]
 
 
 def sample_scene(poses, speeds, cfg: SamplerConfig, seed_parts,
@@ -520,7 +355,7 @@ def sample_scene(poses, speeds, cfg: SamplerConfig, seed_parts,
     if bad.size:
         check_weights(**{f"speeds[{bad[0]}]": float(speed[bad[0]])})
     start[:, 2] = wrap_angle(start[:, 2])
-    return _sample(start, speed, derived_seeds(seed_parts, len(speed))[:, None],
+    return _sample(start, speed, [derived_seed(*seed_parts, i) for i in range(len(speed))],
                    cfg, start_time)
 
 

@@ -15,7 +15,7 @@ from reactplan.planner import PlanResult
 from reactplan.sampler import (INTEGRATION_SUBSTEPS, MODE_CIRCLE, MODE_LINE,
                                MODE_SPIRAL, CandidateSet, KinematicState,
                                SamplerConfig, Trajectory, _draw_control_arrays,
-                               _pcg64_words, _seed_words, sample_candidates)
+                               sample_candidates)
 from reactplan.simulator import CORRIDOR_MARGIN
 
 
@@ -468,33 +468,35 @@ def actor_policy_step_reference(s, v, pose, lane, own_box, hazards, params, dt):
 
 
 def draw_controls(cfg, indices):
-    """``sampler._draw_control_arrays`` for the candidates ``indices`` of the
-    stream family ``cfg.seed``: (mode, accel, curvature, curvature rate)."""
-    return _draw_control_arrays(cfg, _pcg64_words([_seed_words(cfg.seed)], indices)[0])
-
-
-def draw_controls_reference(cfg, index):
-    """Reference for one row of ``sampler._draw_control_arrays``: one
-    ``Generator`` per candidate, seeded by (seed, index), with one
-    ``uniform`` call per drawn parameter. Returns (mode, accel, curvature,
+    """``sampler._draw_control_arrays`` for the candidates ``indices`` (each
+    >= 1) of the vehicle stream ``PCG64(SeedSequence(cfg.seed))``, candidate
+    a reading its words 4(a - 1) to 4a - 1: (mode, accel, curvature,
     curvature rate)."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), int(index)]))
-    u = rng.uniform()
+    idx = np.asarray(indices, dtype=np.int64)
+    stream = np.random.PCG64(np.random.SeedSequence(cfg.seed))
+    return _draw_control_arrays(cfg, stream.random_raw((idx.max(initial=0), 4))[idx - 1])
+
+
+def draw_controls_reference(cfg, n):
+    """Reference for ``sampler._draw_control_arrays`` on candidates 1..n of
+    one vehicle: one ``Generator`` seeded by ``cfg.seed`` that takes four
+    ``uniform`` doubles per candidate, in order, whatever the mode. Returns n
+    (mode, accel, curvature, curvature rate) tuples."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     p_line, p_circle, _ = cfg.mode_probs
-    if u < p_line:
-        mode = MODE_LINE
-    elif u < p_line + p_circle:
-        mode = MODE_CIRCLE
-    else:
-        mode = MODE_SPIRAL
-    accel = rng.uniform(*cfg.accel_range)
-    curvature = 0.0
-    rate = 0.0
-    if mode in (MODE_CIRCLE, MODE_SPIRAL):
+    draws = []
+    for _ in range(n):
+        u = rng.uniform()
+        accel = rng.uniform(*cfg.accel_range)
         curvature = rng.uniform(*cfg.curvature_range)
-    if mode == MODE_SPIRAL:
         rate = rng.uniform(*cfg.spiral_rate_range)
-    return mode, accel, curvature, rate
+        if u < p_line:
+            draws.append((MODE_LINE, accel, 0.0, 0.0))
+        elif u < p_line + p_circle:
+            draws.append((MODE_CIRCLE, accel, curvature, 0.0))
+        else:
+            draws.append((MODE_SPIRAL, accel, curvature, rate))
+    return draws
 
 
 def extract_features_reference(candidates, lane, ref_speed):

@@ -10,7 +10,8 @@ import pytest
 from reactplan import cli
 from reactplan.cli import main
 from reactplan.config import RunConfig
-from reactplan.learning import save_dataset, synthetic_dataset
+from reactplan.learning import (TrainConfig, gradient, load_dataset, save_dataset,
+                                synthetic_dataset)
 from reactplan.sampler import SamplerConfig, sample_scene
 from reactplan.scenarios import Scenario, builtin_templates
 
@@ -330,10 +331,16 @@ class TestCmdTrain:
                      str(tmp_path / "none.jsonl")]) == 2
 
     def test_non_finite_weights_exit_4(self, tmp_path, small_config, capsys):
-        # the first step overflows: the largest gradient component is about 1.23
-        data = self._dataset(tmp_path)
+        # precondition: lr times the largest first-epoch gradient component
+        # overflows, so the first step makes the weights non-finite
+        lr = 1.79e308
+        data = self._dataset(tmp_path, n=2)
+        cfg = RunConfig.load(small_config)
+        grad = gradient(cfg.energy, load_dataset(data), cfg.sampler, TrainConfig())
+        with np.errstate(over="ignore"):
+            assert np.isinf(lr * np.abs(grad).max())
         code = main(["--config", str(small_config), "--out", str(tmp_path / "out"),
-                     "train", str(data), "--lr", "1.79e308", "--epochs", "3"])
+                     "train", str(data), "--lr", repr(lr), "--epochs", "3"])
         assert code == 4
         assert "weights became non-finite" in capsys.readouterr().err
 

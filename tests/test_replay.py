@@ -23,18 +23,18 @@ RECORDED_NUMPY = "2.4.6"
 
 DIGESTS = {
     "derived_seed": "ecdf3d8a674c15f70b412e5d8e529b13f207edfe484d1abd659903eda1f23a0b",
-    "infer/arc_merge": "88b76e31838b15f5d61b6933fdd80ae032a4fe2c97f91b3733d875d8dea979c3",
-    "infer/left_turn": "a0105bcdd92bf7cb2f02d2294aa85d9f231259c9720877f3f498292dde56ad88",
-    "infer/merge_dense": "4cd6bb0367e6fd57c42dac6a93c3a8bb2a599c84cdce241be6b17bff0f3ac9b1",
-    "plan/arc_merge": "321f7a40c8a2c1eda7bb3a7378ae07dbdd73bbd64b58c0513226b9c193bd7e33",
-    "plan/left_turn": "8a12bf1ff0b2b43286be6f3f05d59b923fefd8aee22a8c2d590b2a8ee099ad02",
-    "plan/merge_dense": "727bca3e1caa4de1ff4e62e4dc5deac76fcc26a03f6791badb1a6e68b44d303e",
-    "sample/arc_merge": "4ae64ea813f8efdd7d49ef6ba9b3d0bba68d8b8df8d664ca65c47c9229d878d4",
-    "sample/left_turn": "3ee5289ea5b19e47409dcc627f8b3e261a8573906c7f9083e05377ed57a55151",
-    "sample/merge_dense": "507ccbbbde227578f21b7d7d7a03a64cc16d1f3b3ee42313c09b7de707a49c2d",
-    "sample_scene": "0159588918457db7183817b7ae2158d3cacb59279920d8ac3ebc16987d7ab59d",
-    "simulate": "25e6ac30d37488001478869a697dc1451b3ad4fbf82d005ca784e635f68a6275",
-    "train": "4b0205463cd6d210f5f57446979eec694921ec8d3e2d7f7d712ada4a32859ddd",
+    "infer/arc_merge": "10a4521733a0ed224e0095ddc86708054ff668426c00b75ed36f2dd049a7d4a5",
+    "infer/left_turn": "011ec8bc7b958d80bbb065d61ea1c00ed24e181804c58fb91bd9b4eda32563c0",
+    "infer/merge_dense": "9af743240550e80af7fff151a81bde2c388248b52ea29a886eb4e9af32dbae62",
+    "plan/arc_merge": "0b6bd52810aec76b756199dc1a6da749df23921145e15a11cebf3afda902eba4",
+    "plan/left_turn": "05c50367b607e43eea9b54f9b48281e74440d034f7d13cf5b8bb2976abea699a",
+    "plan/merge_dense": "ce4265e85a05f375ed9abe5d073f88749560a02a20c6064516e9bac8193f67c0",
+    "sample/arc_merge": "b649eaaa9e120fe5b94b998636ef751d18e8a24061ffcf53318d7117fc06e605",
+    "sample/left_turn": "ae3b754e900f5f46e21e80f4f782a1da99dc12f8604910790c60e1be4ef32d62",
+    "sample/merge_dense": "d2255547369f8ab16eaafedc31d133e92fc2ba9cb04f01d538852a51d8a826f5",
+    "sample_scene": "5c0f3af7b49f73623cd74210ca257e9a79d7c5a201e9b9cb7575bd1759c4cab7",
+    "simulate": "936373cacee6ca01ab3711a2717ca25663c60b3e6fbe97c0e637a46221de140e",
+    "train": "11f2281666c9e92684b7f75eb9aa2fea2089124804634dc378d08d54c564e5fa",
 }
 
 BUILTINS = sorted(builtin_templates())

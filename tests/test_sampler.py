@@ -13,8 +13,7 @@ from reactplan.errors import HorizonMismatch, InsufficientHistory
 from reactplan.geometry import Pose2, wrap_angle
 from reactplan.sampler import (MODE_CIRCLE, MODE_LINE, MODE_SPIRAL, CandidateSet,
                                KinematicState, SamplerConfig, Trajectory,
-                               _pcg64_words, _rollout, _sample, _seed_words,
-                               derived_seed, derived_seeds, estimate_state,
+                               _rollout, _sample, derived_seed, estimate_state,
                                nearest_candidates, sample_candidates, sample_scene)
 
 
@@ -170,11 +169,9 @@ class TestIntegrateControlsMatchesReference:
 
 
 class TestDrawControlsMatchesReference:
-    def test_bit_identical_to_one_generator_per_candidate(self):
+    def test_bit_identical_to_one_generator_per_vehicle(self):
         modes = set()
-        # 2**64 + 5 has three entropy words with the index; 2**96 + 7 and
-        # 2**200 + 1 have five and eight, past the pool's four, so they reach
-        # SeedSequence's extra-entropy mixing
+        # seeds of one to seven 32-bit words
         for seed in (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 5,
                      2 ** 96 + 7, 2 ** 200 + 1):
             for probs in ((0.3, 0.2, 0.5), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
@@ -185,9 +182,8 @@ class TestDrawControlsMatchesReference:
                                     spiral_rate_range=(-0.1, 0.05))
                 mode, accel, curvature, rate = draw_controls(cfg, range(1, cfg.k))
                 assert mode.dtype.kind == "i" and accel.dtype == np.float64
-                for n, idx in enumerate(range(1, cfg.k)):
-                    assert (mode[n], accel[n], curvature[n], rate[n]) == \
-                        draw_controls_reference(cfg, idx)
+                assert list(zip(mode.tolist(), accel.tolist(), curvature.tolist(),
+                                rate.tolist())) == draw_controls_reference(cfg, cfg.k - 1)
                 modes.update(mode.tolist())
         assert modes == {MODE_LINE, MODE_CIRCLE, MODE_SPIRAL}
 
@@ -203,21 +199,6 @@ class TestDrawControlsMatchesReference:
 
 
 class TestPcg64Words:
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(seed=st.integers(0, 2 ** 160 - 1),
-           indices=st.lists(st.integers(0, 2 ** 32 - 1), max_size=24))
-    def test_equals_numpy_generator_words(self, seed, indices):
-        want = np.array([np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(4)
-                         for i in indices], dtype=np.uint64).reshape(-1, 4)
-        got = _pcg64_words([_seed_words(seed)], indices)[0]
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("indices", [[-1], [2 ** 32], [3, 2 ** 40]])
-    def test_rejects_indices_outside_one_word(self, indices):
-        with pytest.raises(ValueError, match="indices"):
-            _pcg64_words([[5]], indices)
-
     def test_sampling_builds_no_generator_objects(self, monkeypatch):
         built = dict.fromkeys(("SeedSequence", "PCG64", "default_rng", "Generator"), 0)
         for name in built:
@@ -227,15 +208,20 @@ class TestPcg64Words:
                 built[name] += 1
                 return real(*args, **kwargs)
             monkeypatch.setattr(np.random, name, counting)
-        np.random.PCG64(np.random.SeedSequence(1))        # the counters count
-        assert built["SeedSequence"] == built["PCG64"] == 1
-        built.update(dict.fromkeys(built, 0))
+        # one SeedSequence and one PCG64 stream per vehicle, none per
+        # candidate, and no Generator
         state = KinematicState(Pose2(1.0, -2.0, 0.7), speed=6.0)
         cands = sample_candidates(state, SamplerConfig(k=16, seed=2 ** 40 + 3))
         assert len(cands) == 16
+        assert built == {"SeedSequence": 1, "PCG64": 1, "default_rng": 0, "Generator": 0}
+        built.update(dict.fromkeys(built, 0))
         scene = sample_scene(np.zeros((5, 3)), np.ones(5), SamplerConfig(k=16), (7, 2 ** 40))
-        assert len(scene) == 5 and derived_seed(3, 2 ** 70) >= 0
-        assert built == dict.fromkeys(built, 0)
+        assert len(scene) == 5
+        # five derived seeds, then five streams
+        assert built == {"SeedSequence": 10, "PCG64": 5, "default_rng": 0, "Generator": 0}
+        built.update(dict.fromkeys(built, 0))
+        assert derived_seed(3, 2 ** 70) >= 0
+        assert built == {"SeedSequence": 1, "PCG64": 0, "default_rng": 0, "Generator": 0}
 
 
 SEED_PARTS = st.lists(st.one_of(st.sampled_from([0, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 9,
@@ -273,8 +259,7 @@ class TestSampleScene:
             one = sample_candidates(state, vehicle_cfg, start_time=start_time)
             assert (cands.start_time, cands.dt) == (start_time, cfg.dt)
             assert bits(cands.poses, cands.speeds) == bits(one.poses, one.speeds)
-            draws = np.array([draw_controls_reference(vehicle_cfg, a)
-                              for a in range(1, k)]).reshape(k - 1, 4)
+            draws = np.array(draw_controls_reference(vehicle_cfg, k - 1)).reshape(k - 1, 4)
             want_poses, want_speeds = integrate_controls_reference(state, *draws[:, 1:].T,
                                                                   vehicle_cfg)
             assert bits(cands.poses[1:], cands.speeds[1:]) == bits(want_poses, want_speeds)
@@ -293,7 +278,6 @@ class TestSampleScene:
     def test_derived_seeds_equal_numpy(self, parts, count):
         want = [int(np.random.SeedSequence([*parts, i]).generate_state(1)[0])
                 for i in range(count)]
-        assert derived_seeds(parts, count).tolist() == want
         assert [derived_seed(*parts, i) for i in range(count)] == want
         assert derived_seed(*parts) == int(np.random.SeedSequence(parts).generate_state(1)[0])
 
@@ -306,7 +290,7 @@ class TestSampleScene:
         for m in (2, 7, 19):
             poses, speeds = scene_states(rng, m)
             poses[:, 2] = wrap_angle(poses[:, 2])
-            seeds = derived_seeds((rng.integers(0, 2 ** 40),), m)[:, None]
+            seeds = rng.integers(0, 2 ** 40, m)
             perm = rng.permutation(m)
             base = _sample(poses, speeds, seeds, cfg, 0.0)
             moved = _sample(poses[perm], speeds[perm], seeds[perm], cfg, 0.0)

@@ -326,18 +326,21 @@ class TestStepEpisode:
                 assert seen[step] == seen[step - 1], step
 
     def test_replans_build_no_state_config_or_seed_objects(self, monkeypatch):
-        built = dict.fromkeys((KinematicState, Pose2, SamplerConfig, "SeedSequence"), 0)
+        # sampling builds no KinematicState, Pose2 or SamplerConfig, and one
+        # PCG64 stream per vehicle (with its seed's SeedSequence and the one
+        # derived_seed hashes), none per candidate
+        built = dict.fromkeys((KinematicState, Pose2, SamplerConfig, "SeedSequence",
+                               "PCG64"), 0)
         for cls in (KinematicState, Pose2, SamplerConfig):
             def counting(self, cls=cls, init=cls.__post_init__):
                 built[cls] += 1
                 init(self)
             monkeypatch.setattr(cls, "__post_init__", counting)
-        real_seq = np.random.SeedSequence
-
-        def counting_seq(*args, **kwargs):
-            built["SeedSequence"] += 1
-            return real_seq(*args, **kwargs)
-        monkeypatch.setattr(np.random, "SeedSequence", counting_seq)
+        for name in ("SeedSequence", "PCG64"):
+            def counting_rng(*args, name=name, real=getattr(np.random, name), **kwargs):
+                built[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counting_rng)
         # counts at the end of every step (its actor step) and once each
         # replan has sampled (its tables)
         marks = []
@@ -348,16 +351,22 @@ class TestStepEpisode:
             monkeypatch.setattr(simulator, name, recording)
         cfg = RunConfig(sampler=SamplerConfig(k=4, horizon_steps=6))
         scenario, planner_cfg = builtin_templates()["merge_dense"], cfg.planner_config()
+        m = 1 + len(scenario.actors)
+        per_replan = {KinematicState: 0, Pose2: 0, SamplerConfig: 0,
+                      "SeedSequence": 2 * m, "PCG64": m}
         built.update(dict.fromkeys(built, 0))
         step_episode(scenario, planner_cfg, cfg.energy, cfg.sampler,
                      SimConfig(replan_steps=2), seed=3)
         replans = [i for i, (name, _) in enumerate(marks) if name == "build_tables"]
         assert len(replans) > 3 and replans[0] == 0
+        assert marks[0][1] == per_replan
         for i in replans[1:]:
             assert marks[i - 1][0] == "actor_policy_step"
-            assert marks[i][1] == marks[i - 1][1], i
+            assert {key: marks[i][1][key] - marks[i - 1][1][key] for key in built} == \
+                per_replan, i
         totals = marks[-1][1]
-        assert totals[KinematicState] == totals[SamplerConfig] == totals["SeedSequence"] == 0
+        assert totals[KinematicState] == totals[SamplerConfig] == 0
+        assert totals["SeedSequence"] == 2 * totals["PCG64"] == 2 * m * len(replans)
 
     def test_open_road_reaches_goal_in_expected_time(self):
         cfg = RunConfig()
