@@ -1,20 +1,22 @@
 """Marginal inference on the pairwise model over candidates.
 
-Sum-product message passing runs in the log domain with damped synchronous
-updates on a fixed schedule, so a run is deterministic given tables and
-config. Messages travel only between actors whose combined pairwise block
-holds a non-zero energy: an identically zero block is a constant factor whose
-messages are uniform, so dropping its edge changes no belief beyond rounding.
-The same engine optionally propagates forward-mode tangents of the node
-potentials, which is how training differentiates through the fixed number of
-iterations. An exact enumeration oracle covers small instances.
+Sum-product message passing runs with damped synchronous updates on a fixed
+schedule, so a run is deterministic given tables and config. Messages travel
+only between actors whose combined pairwise block holds a non-zero energy:
+an identically zero block is a constant factor whose messages are uniform,
+so dropping its edge changes no belief beyond rounding. The same engine
+optionally propagates forward-mode tangents of the node potentials, which is
+how training differentiates through the fixed number of iterations. An exact
+enumeration oracle covers small instances.
 
-Layout: each pass stores the active edges' potentials once as a contiguous
-(K, E, K) array indexed (a, e, b), so the logsumexp over the sender's
-candidate a reduces over the leading axis and walks contiguous rows. The
-sum still adds the rows a = 0..K-1 one after another, as a reduction over
-the middle axis of an (E, K, K) array does, so every message is
-bit-identical to that layout's.
+Layout: the plain message loop runs in the linear domain. Each call
+exponentiates the active edges' potentials once, as an (E, K, K) array
+shifted per edge, and each iteration is one batched vector-matrix product
+over it, so no exponent over (E, K, K) runs inside the loop. Its beliefs
+match the log-domain loop's to rounding, not bit for bit. The log-domain
+loop, a logsumexp over the leading axis of a contiguous (K, E, K) array,
+carries the tangents, and reruns any plain call whose linear messages
+underflow to zero.
 
 Conventions: node potential of actor i is exp(-unary[i]); the edge factor of
 the unordered pair {i, j} combines both stored directions,
@@ -125,45 +127,56 @@ def _edge_list(log_edge: np.ndarray):
     return src, dst, eid[dst, src]
 
 
-def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
-             node_dot: np.ndarray | None = None) -> MarginalSet:
-    """Damped synchronous sum-product message passing over the active edges.
+def _linear_messages(log_node, le, src, rev, incidence, cfg: LbpConfig):
+    """The plain message loop in the linear domain, or None if it underflows.
 
-    Messages m[i -> j](b) are proportional to
-    sum_a exp(log_node[i, a] + log_edge[i, j, a, b]) * prod_{k != j} m[k -> i](a),
-    mixed with the previous value as m <- damping * m_old + (1 - damping) * m_new
-    (computed stably in the log domain) and renormalized each pass.
-
-    Only pairs whose block of ``log_edge`` (in either direction) holds a
-    non-zero entry carry messages, so an iteration costs O(E K^2) for E
-    directed edges. A zero block sends a uniform message, which normalizes
-    away, so dropping it changes no belief beyond rounding; the pairwise
-    belief of such a pair is the product of its two node marginals.
-
-    The edge potentials are stored once per call as a contiguous (K, E, K)
-    array (a, e, b), and each update reduces over its leading axis. The rows
-    a = 0..K-1 are summed in the same order as over the middle axis of an
-    (E, K, K) array, so every message, belief and residual is bit-identical
-    to that layout's; only the memory walk changes.
-
-    With ``node_dot`` of shape (P, M, K), tangents of the log beliefs with
-    respect to P scalar directions are propagated through every update; this
-    requires ``fixed_iterations`` so the unrolled map has a fixed depth. The
-    softmax weights of the tangent update are copied back to (E, K, K), so
-    its einsums keep their summation order.
+    The edge potentials are exponentiated once per call, shifted by each
+    edge's maximum, as P of shape (E, K, K). An iteration then weights the
+    rows of P by w = exp(g - max_a g), sums them in one batched product,
+    normalises, mixes d * m_old + (1 - d) * m_new and normalises again, all on
+    (E, K) arrays. Only the logs of the mixed messages enter the node sums.
+    When a normalised message entry is 0 or not finite, which happens when P
+    or the product underflows where the log domain still holds a finite
+    value, the loop declines and returns None.
     """
-    m_nodes, k = log_node.shape
+    n_edges, k = len(src), log_node.shape[1]
+    p = np.exp(le - le.max(axis=(1, 2), keepdims=True)) if n_edges else le
+    lm = np.full((n_edges, k), -math.log(k))
+    m = np.exp(lm)
+    residuals: list[float] = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iters):
+            pre = log_node + incidence @ lm                     # (M, K)
+            g = pre[src] - lm[rev]                              # (E, K) over a
+            w = np.exp(g - g.max(axis=1, keepdims=True))
+            new = np.matmul(w[:, None, :], p)[:, 0]             # (E, K) over b
+            new /= new.sum(axis=1, keepdims=True)
+            if cfg.damping > 0:
+                new = cfg.damping * m + (1.0 - cfg.damping) * new
+                new /= new.sum(axis=1, keepdims=True)
+            if n_edges and not new.min() > 0.0:
+                return None
+            residual = float(np.abs(new - m).max()) if n_edges else 0.0
+            residuals.append(residual)
+            m, lm = new, np.log(new)
+            if not cfg.fixed_iterations and residual < cfg.tol:
+                return lm, None, True, residuals
+    return lm, None, residuals[-1] < cfg.tol, residuals
+
+
+def _log_messages(log_node, le, src, rev, incidence, cfg: LbpConfig,
+                  node_dot: np.ndarray | None = None):
+    """The message loop in the log domain, with optional tangents.
+
+    Each update adds the messages to the (K, E, K) potential array (a, e, b)
+    and takes a logsumexp over its leading axis; damping mixes in the log
+    domain with ``logaddexp``. This is the tangent path and the fallback of
+    ``_linear_messages``. The softmax weights of the tangent update are
+    copied back to (E, K, K), so its einsums keep their summation order.
+    """
+    n_edges, k = len(src), log_node.shape[1]
     want_dot = node_dot is not None
-    if want_dot and not cfg.fixed_iterations:
-        raise ValueError("tangent propagation requires fixed_iterations")
-
-    src, dst, rev = _edge_list(log_edge)
-    n_edges = len(src)
-    le = log_edge[src, dst]                                     # (E, K, K)
     le_t = np.ascontiguousarray(le.transpose(1, 0, 2))          # (K, E, K)
-    incidence = np.zeros((m_nodes, n_edges))                    # node <- edge
-    incidence[dst, np.arange(n_edges)] = 1.0
-
     lm = np.full((n_edges, k), -math.log(k))
     exp_lm = np.exp(lm)
     dlm = np.zeros((node_dot.shape[0], n_edges, k)) if want_dot else None
@@ -171,11 +184,8 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     log_d = math.log(cfg.damping) if cfg.damping > 0 else -np.inf
     log_1md = math.log1p(-cfg.damping)
     residuals: list[float] = []
-    converged = False
-    iters_used = 0
 
     for _ in range(cfg.max_iters):
-        iters_used += 1
         pre = log_node + incidence @ lm                         # (M, K)
         g = pre[src] - lm[rev]                                  # (E, K) over a
         x = g.T[:, :, None] + le_t                              # (K, E, K)
@@ -214,10 +224,51 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
         if want_dot:
             dlm = dmixed
         if not cfg.fixed_iterations and residual < cfg.tol:
-            converged = True
-            break
-    else:
-        converged = residuals[-1] < cfg.tol if residuals else False
+            return lm, dlm, True, residuals
+    return lm, dlm, residuals[-1] < cfg.tol, residuals
+
+
+def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
+             node_dot: np.ndarray | None = None) -> MarginalSet:
+    """Damped synchronous sum-product message passing over the active edges.
+
+    Messages m[i -> j](b) are proportional to
+    sum_a exp(log_node[i, a] + log_edge[i, j, a, b]) * prod_{k != j} m[k -> i](a),
+    mixed with the previous value as m <- damping * m_old + (1 - damping) * m_new
+    and renormalized each pass.
+
+    Only pairs whose block of ``log_edge`` (in either direction) holds a
+    non-zero entry carry messages, so an iteration costs O(E K^2) for E
+    directed edges. A zero block sends a uniform message, which normalizes
+    away, so dropping it changes no belief beyond rounding; the pairwise
+    belief of such a pair is the product of its two node marginals.
+
+    Without tangents the messages are computed in the linear domain
+    (``_linear_messages``), which agrees with the log-domain loop to rounding
+    (about 1e-14 on the log beliefs) with the same iteration count. If a
+    linear message underflows to 0, the whole call is rerun on the log-domain
+    loop (``_log_messages``), so the choice is deterministic per call.
+
+    With ``node_dot`` of shape (P, M, K), tangents of the log beliefs with
+    respect to P scalar directions are propagated through every update of
+    the log-domain loop; this requires ``fixed_iterations`` so the unrolled
+    map has a fixed depth.
+    """
+    m_nodes, k = log_node.shape
+    want_dot = node_dot is not None
+    if want_dot and not cfg.fixed_iterations:
+        raise ValueError("tangent propagation requires fixed_iterations")
+
+    src, dst, rev = _edge_list(log_edge)
+    n_edges = len(src)
+    le = log_edge[src, dst]                                     # (E, K, K)
+    incidence = np.zeros((m_nodes, n_edges))                    # node <- edge
+    incidence[dst, np.arange(n_edges)] = 1.0
+
+    run = None if want_dot else _linear_messages(log_node, le, src, rev, incidence, cfg)
+    if run is None:
+        run = _log_messages(log_node, le, src, rev, incidence, cfg, node_dot)
+    lm, dlm, converged, residuals = run
 
     pre = log_node + incidence @ lm
     log_z = _lse(pre, axis=1, keepdims=True)
@@ -248,7 +299,7 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
         d_lpb[:, idx, idx] = 0.0
 
     return MarginalSet(log_marginals=log_marg, log_pairwise_beliefs=lpb,
-                       converged=converged, iters_used=iters_used,
+                       converged=converged, iters_used=len(residuals),
                        residuals=residuals, d_log_marginals=d_log_marg,
                        d_log_pairwise_beliefs=d_lpb)
 

@@ -266,8 +266,10 @@ def edge_lbp_reference(log_node, log_edge, cfg, node_dot=None):
     """Reference message passing over the active edges in the (E, K, K)
     layout: each update reduces the middle axis of ``g[:, :, None] + le``.
 
-    ``inference.lbp_pass`` must equal it bit for bit. Returns the same tuple
-    as ``dense_lbp_pass``.
+    With tangents, and on the plain calls whose linear-domain messages
+    underflow, ``inference.lbp_pass`` runs the same log-domain loop and must
+    equal it bit for bit; its other plain calls agree to rounding. Returns the
+    same tuple as ``dense_lbp_pass``.
     """
     m_nodes, k = log_node.shape
     want_dot = node_dot is not None

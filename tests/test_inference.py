@@ -8,8 +8,9 @@ from conftest import (dense_lbp_pass, edge_lbp_reference, joint_distribution,
                       max_node_tv, random_tables, tree_tables, tv_distance)
 from reactplan.energy import EnergyTables
 from reactplan.errors import NumericalFailure, StateSpaceTooLarge
-from reactplan.inference import (LbpConfig, edge_potentials, exact_marginals,
-                                 lbp, lbp_pass, set_conditionals)
+from reactplan.inference import (LbpConfig, _edge_list, _linear_messages,
+                                 edge_potentials, exact_marginals, lbp, lbp_pass,
+                                 set_conditionals)
 
 TIGHT = LbpConfig(max_iters=300, damping=0.5, tol=1e-13)
 
@@ -463,8 +464,10 @@ EXACT_CASES = [(5, 1, 0.0), (6, 12, 0.0), (9, 16, 0.6), (1, 16, 0.0),
 
 
 class TestCandidateAxisLayoutIsExact:
-    """``lbp_pass`` reduces over the leading axis of a (K, E, K) array; the
-    (E, K, K) edge-list loop must give the same bits."""
+    """``lbp_pass`` against the (E, K, K) log-domain edge-list loop: without
+    tangents the linear-domain messages agree to rounding, with the same
+    iteration count and convergence flag; with tangents the log-domain loop
+    over the (K, E, K) layout gives the same bits."""
 
     @pytest.mark.parametrize("m,k,zero_frac", EXACT_CASES)
     @pytest.mark.parametrize("damping", [0.0, 0.5])
@@ -473,8 +476,12 @@ class TestCandidateAxisLayoutIsExact:
         for coupling, max_iters in ((0.3, 50), (2.0, 9)):
             cfg = LbpConfig(max_iters=max_iters, damping=damping)
             log_node, log_edge = sparse_potentials(rng, m, k, zero_frac, coupling)
-            assert_engine_equal(lbp_pass(log_node, log_edge, cfg),
-                                edge_lbp_reference(log_node, log_edge, cfg))
+            res = lbp_pass(log_node, log_edge, cfg)
+            lm, lpb, conv, iters, resid, _, _ = edge_lbp_reference(log_node, log_edge, cfg)
+            np.testing.assert_allclose(res.log_marginals, lm, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.log_pairwise_beliefs, lpb, rtol=0, atol=1e-12)
+            assert (res.converged, res.iters_used, len(res.residuals)) == (conv, iters,
+                                                                           len(resid))
 
     @pytest.mark.parametrize("m,k,zero_frac", EXACT_CASES)
     @pytest.mark.parametrize("damping", [0.0, 0.5])
@@ -486,3 +493,42 @@ class TestCandidateAxisLayoutIsExact:
         assert_engine_equal(lbp_pass(log_node, log_edge, cfg, node_dot=node_dot),
                             edge_lbp_reference(log_node, log_edge, cfg, node_dot=node_dot),
                             tangents=True)
+
+
+def underflow_instance(log_block):
+    """Two nodes, K = 3, joined by ``log_block`` as the combined log potential
+    of the edge 0 -> 1 (its transpose for 1 -> 0)."""
+    rng = np.random.default_rng(31)
+    log_edge = np.zeros((2, 2, 3, 3))
+    log_edge[0, 1] = log_block
+    log_edge[1, 0] = log_block.T
+    return rng.normal(size=(2, 3)), log_edge
+
+
+class TestUnderflowGuard:
+    """A plain call whose linear messages underflow to 0 is rerun on the
+    log-domain loop, whose messages there are tiny but finite."""
+
+    def check_falls_back(self, log_node, log_edge, cfg):
+        src, dst, rev = _edge_list(log_edge)
+        incidence = np.zeros((2, len(src)))
+        incidence[dst, np.arange(len(src))] = 1.0
+        assert _linear_messages(log_node, log_edge[src, dst], src, rev, incidence,
+                                cfg) is None
+        res = lbp_pass(log_node, log_edge, cfg)
+        assert_engine_equal(res, edge_lbp_reference(log_node, log_edge, cfg))
+        assert np.all(np.isfinite(res.log_marginals))
+
+    def test_receiver_column_of_p_underflows(self):
+        # column b = 1 sits 900 nats below the block's maximum, so every
+        # P[:, 1] is 0 and the undamped message puts exactly 0 on it
+        block = np.array([[0.0, -900.0, 0.5], [-0.3, -900.0, 0.0], [0.2, -900.0, -0.1]])
+        self.check_falls_back(*underflow_instance(block), LbpConfig(damping=0.0))
+
+    def test_dominant_sender_row_of_p_is_zero(self):
+        # sender candidate 0 outweighs the others by 800 nats, so w = (1, 0, 0),
+        # and its row of P is 0: the message row sums to 0 before damping
+        log_node, log_edge = underflow_instance(
+            np.array([[-900.0, -900.0, -900.0], [0.0, 0.3, -0.2], [0.1, 0.0, 0.4]]))
+        log_node[0] = [0.0, -800.0, -800.0]
+        self.check_falls_back(log_node, log_edge, LbpConfig(damping=0.5))

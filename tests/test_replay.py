@@ -23,17 +23,17 @@ RECORDED_NUMPY = "2.4.6"
 
 DIGESTS = {
     "derived_seed": "ecdf3d8a674c15f70b412e5d8e529b13f207edfe484d1abd659903eda1f23a0b",
-    "infer/arc_merge": "10a4521733a0ed224e0095ddc86708054ff668426c00b75ed36f2dd049a7d4a5",
-    "infer/left_turn": "011ec8bc7b958d80bbb065d61ea1c00ed24e181804c58fb91bd9b4eda32563c0",
-    "infer/merge_dense": "9af743240550e80af7fff151a81bde2c388248b52ea29a886eb4e9af32dbae62",
-    "plan/arc_merge": "0b6bd52810aec76b756199dc1a6da749df23921145e15a11cebf3afda902eba4",
-    "plan/left_turn": "05c50367b607e43eea9b54f9b48281e74440d034f7d13cf5b8bb2976abea699a",
-    "plan/merge_dense": "ce4265e85a05f375ed9abe5d073f88749560a02a20c6064516e9bac8193f67c0",
+    "infer/arc_merge": "7d8a2bbe37ee54dcc69eda9f34cb8b5da44f9494a74dbecd18e566df3bf7a20d",
+    "infer/left_turn": "62244efb3dc53ce45386b6e98f50ac5059b271270a190043e9cbd142257c1286",
+    "infer/merge_dense": "9d5ee2c4751dd9d3cf81eb925932f6e9ae5b1c1b8e43ba4fe7b0f1ea81023ddf",
+    "plan/arc_merge": "2c24c5e371f5b5c5d612930fb698671438ecd15f0054ff11fad8f7d33010548e",
+    "plan/left_turn": "535e1d749fe8d8d4ea55c0db5b5f7f2d0331c45550862e38596f5bc14157b141",
+    "plan/merge_dense": "58be9667a4ed5c274f7ea6465fa17f24b971505ae0c46f1924000a1ced85a742",
     "sample/arc_merge": "b649eaaa9e120fe5b94b998636ef751d18e8a24061ffcf53318d7117fc06e605",
     "sample/left_turn": "ae3b754e900f5f46e21e80f4f782a1da99dc12f8604910790c60e1be4ef32d62",
     "sample/merge_dense": "d2255547369f8ab16eaafedc31d133e92fc2ba9cb04f01d538852a51d8a826f5",
     "sample_scene": "5c0f3af7b49f73623cd74210ca257e9a79d7c5a201e9b9cb7575bd1759c4cab7",
-    "simulate": "936373cacee6ca01ab3711a2717ca25663c60b3e6fbe97c0e637a46221de140e",
+    "simulate": "ee2b3ca9befc50e544f5b07deb351eb95b135508883cd6d057d2e4e19e211a3c",
     "train": "11f2281666c9e92684b7f75eb9aa2fea2089124804634dc378d08d54c564e5fa",
 }
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import actor_policy_step_reference, box_arrays
-from reactplan import simulator
+from reactplan import inference, simulator
 from reactplan.config import RunConfig
 from reactplan.energy import BoxDims
 from reactplan.errors import InfeasiblePerturbation, InvalidScenario
@@ -615,6 +615,48 @@ class TestRunSuite:
                              cfg.sampler, cfg.sim, seed=13, workers=2)
         assert [(n, v, ep.summary()) for n, v, ep in serial.episodes] == \
             [(n, v, ep.summary()) for n, v, ep in parallel.episodes]
+
+
+class TestLinearMessagesInClosedLoop:
+    def run_both_planners(self, monkeypatch):
+        """Seed-13 suites of every builtin, reactive and nonreactive, with the
+        committed candidate's poses and speeds recorded at each replan."""
+        cfg = RunConfig(seed=13)
+        committed = []
+        real_plan = simulator.plan
+
+        def recording_plan(ego_candidates, tables, planner_cfg):
+            result = real_plan(ego_candidates, tables, planner_cfg)
+            committed.append((ego_candidates.poses[result.chosen],
+                              ego_candidates.speeds[result.chosen]))
+            return result
+
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, "plan", recording_plan)
+            suites = [run_suite(list(builtin_templates().values()), 1,
+                                cfg.planner_config(variant=variant), cfg.energy,
+                                cfg.sampler, cfg.sim, cfg.seed)
+                      for variant in ("reactive", "nonreactive")]
+        return [ep for suite in suites for _, _, ep in suite.episodes], committed
+
+    def test_log_domain_fallback_moves_no_vehicle(self, monkeypatch):
+        # the two engines differ in the last bits, which can switch the
+        # chosen index between identical candidates but must not move the
+        # ego: judge by the committed trajectory, not the index
+        linear, linear_commits = self.run_both_planners(monkeypatch)
+        declined = []
+        monkeypatch.setattr(inference, "_linear_messages",
+                            lambda *args: declined.append(1))
+        log, log_commits = self.run_both_planners(monkeypatch)
+        assert len(declined) == len(log_commits) == len(linear_commits) > 0
+        for (pos_a, v_a), (pos_b, v_b) in zip(linear_commits, log_commits):
+            assert np.array_equal(pos_a, pos_b) and np.array_equal(v_a, v_b)
+        assert [ep.summary() for ep in linear] == [ep.summary() for ep in log]
+        for ep_a, ep_b in zip(linear, log):
+            assert len(ep_a.trace) == len(ep_b.trace)
+            for rec_a, rec_b in zip(ep_a.trace, ep_b.trace):
+                assert np.array_equal(rec_a["ego"], rec_b["ego"])
+                assert np.array_equal(rec_a["actors"], rec_b["actors"])
 
 
 class TestScenarioSerialization:
