@@ -66,7 +66,9 @@ class PlanResult:
 
     The four breakdown arrays are already weighted and sum to
     ``objective_values``. Candidates whose conditional prediction is
-    degenerate carry an infinite objective.
+    degenerate carry an infinite objective. ``converged``, ``iters_used`` and
+    ``residual`` (the last max-abs message change; 0 for exact beliefs)
+    describe the inference pass behind the scores.
     """
 
     chosen: int
@@ -77,6 +79,15 @@ class PlanResult:
     goal: np.ndarray
     converged: bool
     iters_used: int
+    residual: float
+
+    @property
+    def gap(self) -> float | None:
+        """The runner-up's finite objective minus the chosen one's, or None
+        with fewer than two finite values. Near 0 it flags a near-tie, where
+        a last-bit change in the beliefs can switch the chosen index."""
+        finite = np.sort(self.objective_values[np.isfinite(self.objective_values)])
+        return float(finite[1] - finite[0]) if len(finite) > 1 else None
 
     def to_dict(self) -> dict:
         def _clean(arr):
@@ -92,6 +103,8 @@ class PlanResult:
             },
             "converged": self.converged,
             "iters_used": self.iters_used,
+            "residual": self.residual,
+            "gap": self.gap,
         }
 
     def to_json(self, path) -> None:
@@ -150,7 +163,8 @@ def score(ego_candidates: CandidateSet | None, tables: EnergyTables, ms: Margina
     values = ego + inter + actor + goal
     return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
                       ego_unary=ego, interaction=inter, actor_unary=actor,
-                      goal=goal, converged=ms.converged, iters_used=ms.iters_used)
+                      goal=goal, converged=ms.converged, iters_used=ms.iters_used,
+                      residual=ms.residuals[-1] if ms.residuals else 0.0)
 
 
 def plan(ego_candidates: CandidateSet, tables: EnergyTables,

@@ -217,6 +217,8 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
                 },
                 "converged": result.converged,
                 "iters_used": result.iters_used,
+                "residual": result.residual,
+                "gap": result.gap,
             }
 
         # decisions from the common snapshot, then simultaneous motion

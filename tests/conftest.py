@@ -610,7 +610,8 @@ def plan_reference(ego_candidates, tables, cfg):
     values = ego + inter + actor + goal
     return PlanResult(chosen=int(np.argmin(values)), objective_values=values,
                       ego_unary=ego, interaction=inter, actor_unary=actor,
-                      goal=goal, converged=ms.converged, iters_used=ms.iters_used)
+                      goal=goal, converged=ms.converged, iters_used=ms.iters_used,
+                      residual=ms.residuals[-1])
 
 
 def _node_loss(log_marg, labels, k, renorm, d_log_marg=None):

@@ -387,6 +387,8 @@ class TestCmdSimulate:
                      if "plan" in rec.get("step", {})]
             assert plans and all(type(p["iters_used"]) is int and p["iters_used"] >= 1
                                  for p in plans)
+            assert all(p["residual"] >= 0.0 and (p["gap"] is None or p["gap"] >= 0.0)
+                       for p in plans)
 
     def test_seed_replay_identical_files(self, tmp_path, small_config):
         tdir = self._template_dir(tmp_path)

@@ -438,6 +438,57 @@ class TestPlanResultSerialization:
                                           "actor_unary", "goal"}
 
 
+class TestPlanDiagnostics:
+    def test_residual_is_the_last_lbp_residual(self):
+        tables = random_tables(np.random.default_rng(18), m=4, k=5, coupling=1.2)
+        for lbp_cfg in (LbpConfig(), LbpConfig(max_iters=2), LbpConfig(damping=0.0)):
+            cfg = replace(cfg_for(w_goal=0.4), lbp=lbp_cfg)
+            result = plan(make_ego_candidates(5), tables, cfg)
+            ms = lbp(tables, lbp_cfg)
+            assert result.residual == ms.residuals[-1]
+            assert (result.converged, result.iters_used) == (ms.converged, ms.iters_used)
+            assert result.to_dict()["residual"] == result.residual
+
+    def test_gap_is_runner_up_minus_chosen(self):
+        rng = np.random.default_rng(19)
+        for variant, set_size in (("reactive", None), ("nonreactive", None),
+                                  ("interpolated", 2)):
+            tables = random_tables(rng, m=3, k=6, coupling=0.5, goal_scale=1.0)
+            result = plan(make_ego_candidates(6), tables,
+                          cfg_for(variant, w_goal=1.0, set_size=set_size))
+            values = result.objective_values
+            runner_up = min(v for a, v in enumerate(values) if a != result.chosen)
+            assert result.gap == runner_up - values[result.chosen] > 0.0
+            assert result.to_dict()["gap"] == result.gap
+
+    def test_exact_tie_has_zero_gap_and_lower_index(self):
+        # ego candidates 1 and 3 carry identical rows everywhere, as two
+        # identical rolled-out trajectories of a standing ego would
+        tables = random_tables(np.random.default_rng(20), m=3, k=4, coupling=0.4)
+        unary, pw, goal = tables.unary.copy(), tables.pairwise.copy(), tables.goal.copy()
+        unary[0, 3], goal[3] = unary[0, 1], goal[1]
+        pw[0, :, 3], pw[:, 0, :, 3] = pw[0, :, 1], pw[:, 0, :, 1]
+        unary[0, 1] -= 5.0
+        unary[0, 3] -= 5.0
+        tied = EnergyTables(unary=unary, pairwise=pw, goal=goal)
+        result = plan(make_ego_candidates(4), tied, cfg_for("nonreactive", w_goal=1.0))
+        assert result.chosen == 1
+        assert result.objective_values[3] == result.objective_values[1]
+        assert result.gap == 0.0
+
+    def test_gap_is_none_with_fewer_than_two_finite_values(self):
+        tables = random_tables(np.random.default_rng(21), m=3, k=4, coupling=0.4)
+        unary = tables.unary.copy()
+        unary[0, 1:] += 1e4                  # every candidate but 0 degenerate
+        tables = EnergyTables(unary=unary, pairwise=tables.pairwise, goal=tables.goal)
+        result = plan(make_ego_candidates(4), tables, cfg_for(w_goal=0.5))
+        assert np.isfinite(result.objective_values).sum() == 1
+        assert result.gap is None and result.to_dict()["gap"] is None
+        single = plan(make_ego_candidates(1), ego_only_tables(np.random.default_rng(22), k=1),
+                      cfg_for(w_goal=1.0))
+        assert single.gap is None
+
+
 class TestActorRelabelling:
     def test_permuting_actors_permutes_marginals_and_keeps_plan(self):
         # seeded crowded scenes: the sampler, features and tables are per

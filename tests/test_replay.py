@@ -26,14 +26,14 @@ DIGESTS = {
     "infer/arc_merge": "7d8a2bbe37ee54dcc69eda9f34cb8b5da44f9494a74dbecd18e566df3bf7a20d",
     "infer/left_turn": "62244efb3dc53ce45386b6e98f50ac5059b271270a190043e9cbd142257c1286",
     "infer/merge_dense": "9d5ee2c4751dd9d3cf81eb925932f6e9ae5b1c1b8e43ba4fe7b0f1ea81023ddf",
-    "plan/arc_merge": "2c24c5e371f5b5c5d612930fb698671438ecd15f0054ff11fad8f7d33010548e",
-    "plan/left_turn": "535e1d749fe8d8d4ea55c0db5b5f7f2d0331c45550862e38596f5bc14157b141",
-    "plan/merge_dense": "58be9667a4ed5c274f7ea6465fa17f24b971505ae0c46f1924000a1ced85a742",
+    "plan/arc_merge": "0481c17dc17fe3ea108a8b0de1def42a0a99af26af1bcca99ab0a243d67deb17",
+    "plan/left_turn": "f776e941fdf57a395ca3bc63a73feb61f2a1ff7fbff7eecf4164703f80064656",
+    "plan/merge_dense": "3b08d372b78afa1942873ad5a55ee698cf1c569043f7d0d302ef4160b18936b7",
     "sample/arc_merge": "b649eaaa9e120fe5b94b998636ef751d18e8a24061ffcf53318d7117fc06e605",
     "sample/left_turn": "ae3b754e900f5f46e21e80f4f782a1da99dc12f8604910790c60e1be4ef32d62",
     "sample/merge_dense": "d2255547369f8ab16eaafedc31d133e92fc2ba9cb04f01d538852a51d8a826f5",
     "sample_scene": "5c0f3af7b49f73623cd74210ca257e9a79d7c5a201e9b9cb7575bd1759c4cab7",
-    "simulate": "ee2b3ca9befc50e544f5b07deb351eb95b135508883cd6d057d2e4e19e211a3c",
+    "simulate": "63ace07efc9b90278e283be184253fed6742f7a5d49543c8c523735d4f2add6d",
     "train": "11f2281666c9e92684b7f75eb9aa2fea2089124804634dc378d08d54c564e5fa",
 }
 

@@ -639,6 +639,25 @@ class TestLinearMessagesInClosedLoop:
                       for variant in ("reactive", "nonreactive")]
         return [ep for suite in suites for _, _, ep in suite.episodes], committed
 
+    def test_plan_records_carry_residual_and_gap(self, monkeypatch):
+        cfg = RunConfig()
+        results = []
+        real_plan = simulator.plan
+
+        def recording_plan(ego_candidates, tables, planner_cfg):
+            results.append(real_plan(ego_candidates, tables, planner_cfg))
+            return results[-1]
+
+        monkeypatch.setattr(simulator, "plan", recording_plan)
+        scenario = replace(builtin_templates()["merge_dense"], timer=2.0)
+        episode = step_episode(scenario, cfg.planner_config(), cfg.energy,
+                               cfg.sampler, cfg.sim, seed=3)
+        records = [rec["plan"] for rec in episode.trace if "plan" in rec]
+        assert len(records) == len(results) > 0
+        for rec, result in zip(records, results):
+            assert (rec["residual"], rec["gap"]) == (result.residual, result.gap)
+            assert rec["chosen"] == result.chosen
+
     def test_log_domain_fallback_moves_no_vehicle(self, monkeypatch):
         # the two engines differ in the last bits, which can switch the
         # chosen index between identical candidates but must not move the
