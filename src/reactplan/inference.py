@@ -244,10 +244,11 @@ def lbp_pass(log_node: np.ndarray, log_edge: np.ndarray, cfg: LbpConfig,
     belief of such a pair is the product of its two node marginals.
 
     Without tangents the messages are computed in the linear domain
-    (``_linear_messages``), which agrees with the log-domain loop to rounding
-    (about 1e-14 on the log beliefs) with the same iteration count. If a
-    linear message underflows to 0, the whole call is rerun on the log-domain
-    loop (``_log_messages``), so the choice is deterministic per call.
+    (``_linear_messages``), which agrees with the log-domain loop to rounding,
+    not bit for bit; the tests hold the log beliefs to 1e-12 and the
+    iteration count and convergence flag to equality. If a linear message
+    underflows to 0, the whole call is rerun on the log-domain loop
+    (``_log_messages``), so the choice is deterministic per call.
 
     With ``node_dot`` of shape (P, M, K), tangents of the log beliefs with
     respect to P scalar directions are propagated through every update of

@@ -617,44 +617,44 @@ class TestRunSuite:
             [(n, v, ep.summary()) for n, v, ep in parallel.episodes]
 
 
+def record_plans(mp):
+    """Wrap ``simulator.plan`` so each call appends (ego candidates, result)
+    to the returned list."""
+    calls = []
+    real_plan = simulator.plan
+
+    def recording_plan(ego_candidates, tables, planner_cfg):
+        calls.append((ego_candidates, real_plan(ego_candidates, tables, planner_cfg)))
+        return calls[-1][1]
+
+    mp.setattr(simulator, "plan", recording_plan)
+    return calls
+
+
 class TestLinearMessagesInClosedLoop:
     def run_both_planners(self, monkeypatch):
-        """Seed-13 suites of every builtin, reactive and nonreactive, with the
-        committed candidate's poses and speeds recorded at each replan."""
+        """Seed-13 suites of every builtin, reactive and nonreactive, and the
+        committed candidate's poses and speeds at each replan."""
         cfg = RunConfig(seed=13)
-        committed = []
-        real_plan = simulator.plan
-
-        def recording_plan(ego_candidates, tables, planner_cfg):
-            result = real_plan(ego_candidates, tables, planner_cfg)
-            committed.append((ego_candidates.poses[result.chosen],
-                              ego_candidates.speeds[result.chosen]))
-            return result
-
         with monkeypatch.context() as mp:
-            mp.setattr(simulator, "plan", recording_plan)
+            calls = record_plans(mp)
             suites = [run_suite(list(builtin_templates().values()), 1,
                                 cfg.planner_config(variant=variant), cfg.energy,
                                 cfg.sampler, cfg.sim, cfg.seed)
                       for variant in ("reactive", "nonreactive")]
+        committed = [(cands.poses[result.chosen], cands.speeds[result.chosen])
+                     for cands, result in calls]
         return [ep for suite in suites for _, _, ep in suite.episodes], committed
 
     def test_plan_records_carry_residual_and_gap(self, monkeypatch):
         cfg = RunConfig()
-        results = []
-        real_plan = simulator.plan
-
-        def recording_plan(ego_candidates, tables, planner_cfg):
-            results.append(real_plan(ego_candidates, tables, planner_cfg))
-            return results[-1]
-
-        monkeypatch.setattr(simulator, "plan", recording_plan)
+        calls = record_plans(monkeypatch)
         scenario = replace(builtin_templates()["merge_dense"], timer=2.0)
         episode = step_episode(scenario, cfg.planner_config(), cfg.energy,
                                cfg.sampler, cfg.sim, seed=3)
         records = [rec["plan"] for rec in episode.trace if "plan" in rec]
-        assert len(records) == len(results) > 0
-        for rec, result in zip(records, results):
+        assert len(records) == len(calls) > 0
+        for rec, (_, result) in zip(records, calls):
             assert (rec["residual"], rec["gap"]) == (result.residual, result.gap)
             assert rec["chosen"] == result.chosen
 
