@@ -23,6 +23,7 @@ RECORDED_NUMPY = "2.4.6"
 
 DIGESTS = {
     "derived_seed": "ecdf3d8a674c15f70b412e5d8e529b13f207edfe484d1abd659903eda1f23a0b",
+    "formats": "50212a194599edd5374fe90fc70e050639f2ee19fd41ae8c547a6ff5dd2c799b",
     "infer/arc_merge": "7d8a2bbe37ee54dcc69eda9f34cb8b5da44f9494a74dbecd18e566df3bf7a20d",
     "infer/left_turn": "62244efb3dc53ce45386b6e98f50ac5059b271270a190043e9cbd142257c1286",
     "infer/merge_dense": "9d5ee2c4751dd9d3cf81eb925932f6e9ae5b1c1b8e43ba4fe7b0f1ea81023ddf",
@@ -105,6 +106,16 @@ def train(tmp_path):
                    "--lr", "0.3", "--epochs", "3")
 
 
+def formats(tmp_path):
+    """The saved bytes of each file format: a run config, a dataset and the
+    builtin scenarios."""
+    RunConfig(set_size=3, sampler=SamplerConfig(k=5)).save(tmp_path / "config.json")
+    save_dataset(synthetic_dataset(4, 3, SamplerConfig()), tmp_path / "data.jsonl")
+    for name in BUILTINS:
+        scenario_path(tmp_path, name)
+    return files_digest(tmp_path)
+
+
 def scene_samples(tmp_path):
     rng = np.random.default_rng(5)
     poses = np.column_stack([rng.uniform(-50.0, 50.0, (6, 2)), rng.uniform(-4.0, 4.0, 6)])
@@ -128,6 +139,7 @@ CASES = {
     **{f"infer/{name}": lambda p, name=name: infer(p, name) for name in BUILTINS},
     **{f"sample/{name}": lambda p, name=name: sample(p, name) for name in BUILTINS},
     "train": train,
+    "formats": formats,
     "sample_scene": scene_samples,
     "derived_seed": seed_values,
 }
