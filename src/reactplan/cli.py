@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, to_dict
 from .energy import build_tables
 from .errors import DivergenceError, NumericalFailure, ReactplanError
 from .inference import lbp
@@ -74,15 +74,8 @@ def _scene_candidates(scenario: Scenario, cfg: RunConfig):
 
 def _scene_inputs(scenario: Scenario, cfg: RunConfig):
     """Candidate sets and tables for the scenario at t = 0."""
-    boxes = [scenario.ego.box]
-    lanes = [scenario.lanes[scenario.ego.route].line]
-    refs = [scenario.ego.ref_speed]
-    for actor in scenario.actors:
-        boxes.append(actor.box)
-        lanes.append(scenario.lanes[actor.route].line)
-        refs.append(actor.behavior.desired_speed)
     candidates = _scene_candidates(scenario, cfg)
-    tables = build_tables(candidates, boxes, lanes, refs,
+    tables = build_tables(candidates, *scenario.vehicle_context(),
                           scenario.goal_target(), cfg.energy)
     return candidates, tables
 
@@ -161,7 +154,7 @@ def cmd_train(args) -> int:
     fitted, curve = train(cfg.energy, dataset, cfg.sampler, train_cfg)
     out = _out_dir(args)
     with open(out / "params.json", "w") as fh:
-        json.dump(fitted.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(to_dict(fitted), fh, indent=2, sort_keys=True)
     with open(out / "loss.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss"])

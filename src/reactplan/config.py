@@ -1,8 +1,18 @@
-"""One run configuration bundling every tunable, with lossless JSON round-trip."""
+"""One run configuration bundling every tunable, and the JSON codec of every
+record whose JSON is its fields.
+
+``to_dict`` writes one key per dataclass field: a nested dataclass becomes a
+dict, an ndarray or a tuple a list. ``from_dict`` reads exactly those keys
+back (an unknown or a missing key is a ValueError) and leaves every check of
+the values to the class's own constructor.
+"""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+
+import numpy as np
 
 from .energy import EnergyParams
 from .errors import check_counts
@@ -10,6 +20,35 @@ from .inference import LbpConfig
 from .planner import PlannerConfig
 from .sampler import SamplerConfig
 from .simulator import SimConfig
+
+
+def to_dict(obj) -> dict:
+    """The fields of the dataclass ``obj`` as JSON values."""
+    def value(v):
+        if is_dataclass(v):
+            return to_dict(v)
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        return list(v) if isinstance(v, tuple) else v
+    return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def from_dict(cls, data: dict):
+    """The dataclass ``cls`` built from ``data``, which must hold exactly one
+    key per field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    names = {f.name for f in fields(cls)}
+    if data.keys() != names:
+        raise ValueError(f"{cls.__name__}: unknown keys {sorted(data.keys() - names)}, "
+                         f"missing keys {sorted(names - data.keys())}")
+
+    def value(hint, v):
+        if is_dataclass(hint):
+            return from_dict(hint, v)
+        return tuple(v) if typing.get_origin(hint) is tuple else v
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: value(hints[name], v) for name, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -39,36 +78,14 @@ class RunConfig:
                              w_goal=self.energy.w_goal,
                              lbp=self.lbp)
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sampler": self.sampler.to_dict(),
-            "energy": self.energy.to_dict(),
-            "lbp": self.lbp.to_dict(),
-            "variant": self.variant,
-            "set_size": self.set_size,
-            "sim": self.sim.to_dict(),
-            "n_variants": self.n_variants,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(seed=data["seed"],
-                   sampler=SamplerConfig.from_dict(data["sampler"]),
-                   energy=EnergyParams.from_dict(data["energy"]),
-                   lbp=LbpConfig.from_dict(data["lbp"]),
-                   variant=data["variant"], set_size=data["set_size"],
-                   sim=SimConfig.from_dict(data["sim"]),
-                   n_variants=data["n_variants"])
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(to_dict(self), fh, indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return from_dict(cls, json.load(fh))
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed, sampler=replace(self.sampler, seed=seed))

@@ -92,22 +92,6 @@ class EnergyParams:
         object.__setattr__(self, "w_ego", w_ego)
         object.__setattr__(self, "w_actor", w_actor)
 
-    def to_dict(self) -> dict:
-        return {
-            "w_ego": self.w_ego.tolist(), "w_actor": self.w_actor.tolist(),
-            "gamma": self.gamma, "d_safe": self.d_safe,
-            "lambda_b": self.lambda_b, "lambda_c": self.lambda_c,
-            "w_goal": self.w_goal,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyParams":
-        return cls(w_ego=np.asarray(data["w_ego"], dtype=float),
-                   w_actor=np.asarray(data["w_actor"], dtype=float),
-                   gamma=data["gamma"], d_safe=data["d_safe"],
-                   lambda_b=data["lambda_b"], lambda_c=data["lambda_c"],
-                   w_goal=data["w_goal"])
-
 
 @dataclass(frozen=True)
 class EnergyTables:

@@ -51,14 +51,6 @@ class LbpConfig:
         check_weights(True, tol=self.tol)
         check_counts(max_iters=self.max_iters)
 
-    def to_dict(self) -> dict:
-        return {"max_iters": self.max_iters, "damping": self.damping,
-                "tol": self.tol, "fixed_iterations": self.fixed_iterations}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LbpConfig":
-        return cls(**data)
-
 
 @dataclass
 class MarginalSet:

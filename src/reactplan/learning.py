@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import from_dict, to_dict
 from .energy import (BoxDims, EnergyParams, N_FEATURES,
                      extract_features_batch, interaction_tables, unary_energies)
 from .errors import (DivergenceError, InvalidIgnoreSize, NumericalFailure,
@@ -49,8 +50,8 @@ class TrainingExample:
 
     def to_dict(self) -> dict:
         return {
-            "pasts": [t.to_dict() for t in self.pasts],
-            "futures": [t.to_dict() for t in self.futures],
+            "pasts": [to_dict(t) for t in self.pasts],
+            "futures": [to_dict(t) for t in self.futures],
             "lanes": [lane.points.tolist() for lane in self.lanes],
             "ref_speeds": list(self.ref_speeds),
             "boxes": [list(b) for b in self.boxes],
@@ -60,8 +61,8 @@ class TrainingExample:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainingExample":
         return cls(
-            pasts=[Trajectory.from_dict(t) for t in data["pasts"]],
-            futures=[Trajectory.from_dict(t) for t in data["futures"]],
+            pasts=[from_dict(Trajectory, t) for t in data["pasts"]],
+            futures=[from_dict(Trajectory, t) for t in data["futures"]],
             lanes=[Polyline(p) for p in data["lanes"]],
             ref_speeds=list(data["ref_speeds"]),
             boxes=[BoxDims(*b) for b in data["boxes"]],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,17 +49,6 @@ class PlannerConfig:
         check_weights(lambda_b=self.lambda_b, lambda_c=self.lambda_c,
                       w_goal=self.w_goal)
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "set_size": self.set_size,
-                "lambda_b": self.lambda_b, "lambda_c": self.lambda_c,
-                "w_goal": self.w_goal, "lbp": self.lbp.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlannerConfig":
-        data = dict(data)
-        data["lbp"] = LbpConfig.from_dict(data["lbp"])
-        return cls(**data)
-
 
 @dataclass
 class PlanResult:
@@ -91,7 +81,7 @@ class PlanResult:
 
     def to_dict(self) -> dict:
         def _clean(arr):
-            return [v if np.isfinite(v) else None for v in arr.tolist()]
+            return [v if math.isfinite(v) else None for v in arr.tolist()]
         return {
             "chosen": self.chosen,
             "objective_values": _clean(self.objective_values),

@@ -95,20 +95,6 @@ class Trajectory:
         speed = self.speeds[idx] + frac * (self.speeds[idx + 1] - self.speeds[idx])
         return np.array([x, y, heading]), float(speed)
 
-    def to_dict(self) -> dict:
-        return {
-            "start_time": self.start_time,
-            "dt": self.dt,
-            "poses": self.poses.tolist(),
-            "speeds": self.speeds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Trajectory":
-        return cls(start_time=data["start_time"], dt=data["dt"],
-                   poses=np.asarray(data["poses"], dtype=float),
-                   speeds=np.asarray(data["speeds"], dtype=float))
-
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -180,25 +166,6 @@ class SamplerConfig:
         check_weights(True, dt=self.dt)
         if not self.v_max >= 0:
             raise ValueError(f"v_max must be non-negative, got {self.v_max}")
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "horizon_steps": self.horizon_steps, "dt": self.dt,
-            "mode_probs": list(self.mode_probs),
-            "accel_range": list(self.accel_range),
-            "curvature_range": list(self.curvature_range),
-            "spiral_rate_range": list(self.spiral_rate_range),
-            "v_max": self.v_max, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplerConfig":
-        return cls(k=data["k"], horizon_steps=data["horizon_steps"], dt=data["dt"],
-                   mode_probs=tuple(data["mode_probs"]),
-                   accel_range=tuple(data["accel_range"]),
-                   curvature_range=tuple(data["curvature_range"]),
-                   spiral_rate_range=tuple(data["spiral_rate_range"]),
-                   v_max=data["v_max"], seed=data["seed"])
 
 
 def estimate_state(past: Trajectory) -> KinematicState:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class CarFollowingParams:
             raise ValueError("car-following parameters must be positive")
         if self.hazard_lookahead <= self.min_gap:
             raise ValueError("hazard_lookahead must exceed min_gap")
-
-    def to_dict(self) -> dict:
-        return {"desired_speed": self.desired_speed, "max_accel": self.max_accel,
-                "comfortable_decel": self.comfortable_decel,
-                "hazard_lookahead": self.hazard_lookahead, "min_gap": self.min_gap}
 
 
 @dataclass(frozen=True)
@@ -147,6 +142,13 @@ class Scenario:
             return np.asarray(target, dtype=float)
         return self.lanes[target].line
 
+    def vehicle_context(self) -> tuple[list[BoxDims], list[Polyline], list[float]]:
+        """Boxes, route centerlines and reference speeds of every vehicle,
+        ego first: the per-vehicle inputs of ``build_tables``."""
+        vehicles = (self.ego, *self.actors)
+        return ([v.box for v in vehicles], [self.lanes[v.route].line for v in vehicles],
+                [self.ego.ref_speed] + [a.behavior.desired_speed for a in self.actors])
+
     def actor_start(self) -> tuple[Actors, np.ndarray, np.ndarray]:
         """The actors packed, and their arclengths (m,) and poses (m, 3) at
         t = 0, each snapped to the nearest point of its route centerline."""
@@ -188,7 +190,7 @@ class Scenario:
                     "box": list(self.ego.box), "route": self.ego.route,
                     "ref_speed": self.ego.ref_speed, "goal": goal},
             "actors": [{"state": state_dict(a.state), "box": list(a.box),
-                        "route": a.route, "behavior": a.behavior.to_dict()}
+                        "route": a.route, "behavior": asdict(a.behavior)}
                        for a in self.actors],
         }
 

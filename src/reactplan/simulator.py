@@ -50,14 +50,6 @@ class SimConfig:
     def __post_init__(self):
         check_counts(replan_steps=self.replan_steps, hold_steps=self.hold_steps)
 
-    def to_dict(self) -> dict:
-        return {"replan_steps": self.replan_steps,
-                "goal_radius": self.goal_radius, "hold_steps": self.hold_steps}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        return cls(**data)
-
 
 @dataclass
 class EpisodeResult:
@@ -172,16 +164,12 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
 
     actors, actor_s, actor_poses = scenario.actor_start()
     actor_v = np.array([a.state.speed for a in scenario.actors], dtype=float)
-    boxes = [scenario.ego.box] + [a.box for a in scenario.actors]
+    boxes, lanes, ref_speeds = scenario.vehicle_context()
     all_dims = np.array(boxes, dtype=float)
 
     pose = scenario.ego.state.pose
     ego_pose = np.array([pose.x, pose.y, pose.heading])
     ego_speed = scenario.ego.state.speed
-    lanes_for_tables = [scenario.lanes[v.route].line
-                        for v in (scenario.ego, *scenario.actors)]
-    ref_speeds = [scenario.ego.ref_speed] + [a.behavior.desired_speed
-                                             for a in scenario.actors]
 
     committed = None
     commit_time = 0.0
@@ -200,26 +188,14 @@ def step_episode(scenario: Scenario, planner_cfg: PlannerConfig,
             candidates = sample_scene(np.vstack([ego_pose, actor_poses]),
                                       np.append(ego_speed, actor_v), sampler_cfg,
                                       (seed, step), start_time=t)
-            tables = build_tables(candidates, boxes, lanes_for_tables,
-                                  ref_speeds, goal_target, energy_params)
+            tables = build_tables(candidates, boxes, lanes, ref_speeds, goal_target,
+                                  energy_params)
             result = plan(candidates[0], tables, planner_cfg)
             committed = candidates[0][result.chosen]
             commit_time = t
-            plan_record = {
-                "chosen": result.chosen,
-                "objective_values": [v if np.isfinite(v) else None
-                                     for v in result.objective_values.tolist()],
-                "breakdown": {
-                    "ego_unary": float(result.ego_unary[result.chosen]),
-                    "interaction": float(result.interaction[result.chosen]),
-                    "actor_unary": float(result.actor_unary[result.chosen]),
-                    "goal": float(result.goal[result.chosen]),
-                },
-                "converged": result.converged,
-                "iters_used": result.iters_used,
-                "residual": result.residual,
-                "gap": result.gap,
-            }
+            plan_record = result.to_dict()
+            plan_record["breakdown"] = {name: values[result.chosen] for name, values
+                                        in plan_record["breakdown"].items()}
 
         # decisions from the common snapshot, then simultaneous motion
         actor_s, actor_v, actor_poses, accels = actor_policy_step(

@@ -9,11 +9,17 @@ import pytest
 
 from reactplan import cli
 from reactplan.cli import main
-from reactplan.config import RunConfig
+from reactplan.config import RunConfig, to_dict
+from reactplan.energy import EnergyParams
+from reactplan.inference import LbpConfig
 from reactplan.learning import (TrainConfig, gradient, load_dataset, save_dataset,
                                 synthetic_dataset)
 from reactplan.sampler import SamplerConfig, sample_scene
+from reactplan.simulator import SimConfig
 from reactplan.scenarios import Scenario, builtin_templates
+
+
+MISSING = object()     # a config key to delete rather than set
 
 
 @pytest.fixture()
@@ -38,13 +44,22 @@ def read_bytes(path):
 
 class TestConfigRoundTrip:
     def test_lossless(self, tmp_path):
-        cfg = RunConfig(seed=7, variant="interpolated", set_size=3)
+        # a non-default value in every section
+        cfg = RunConfig(seed=7, variant="interpolated", set_size=3, n_variants=4,
+                        sampler=SamplerConfig(k=5, mode_probs=(0.5, 0.25, 0.25),
+                                              accel_range=(-3.0, 2.0)),
+                        energy=EnergyParams(w_ego=np.arange(6.0), gamma=50.0),
+                        lbp=LbpConfig(max_iters=20, fixed_iterations=True),
+                        sim=SimConfig(replan_steps=2))
         path = tmp_path / "cfg.json"
         cfg.save(path)
         loaded = RunConfig.load(path)
-        assert loaded.to_dict() == cfg.to_dict()
+        assert to_dict(loaded) == to_dict(cfg)
         assert loaded.seed == 7 and loaded.set_size == 3
         np.testing.assert_array_equal(loaded.energy.w_ego, cfg.energy.w_ego)
+        # tuple fields come back as tuples, so the frozen sections stay hashable
+        assert loaded.sampler == cfg.sampler and hash(loaded.sampler) == hash(cfg.sampler)
+        assert (loaded.lbp, loaded.sim) == (cfg.lbp, cfg.sim)
 
 
 class TestRunConfigValidation:
@@ -193,7 +208,7 @@ class TestSeedOption:
                                                ("sampler", 2.5)])
     def test_bad_config_seed_exits_2(self, tmp_path, scenario_file, capsys,
                                      section, value):
-        cfg = RunConfig().to_dict()
+        cfg = to_dict(RunConfig())
         (cfg if section is None else cfg[section])["seed"] = value
         bad = tmp_path / "bad_config.json"
         with open(bad, "w") as fh:
@@ -232,7 +247,7 @@ class TestCmdPlan:
         assert code == 2
 
     def test_wrong_length_weights_exit_2(self, tmp_path, scenario_file, capsys):
-        cfg = RunConfig().to_dict()
+        cfg = to_dict(RunConfig())
         cfg["energy"]["w_ego"] = [0.1, 0.2, 0.3, 0.4]
         bad = tmp_path / "bad_config.json"
         with open(bad, "w") as fh:
@@ -249,22 +264,35 @@ class TestCmdPlan:
         ("energy", "gamma", float("nan")), ("energy", "gamma", float("inf")),
         ("energy", "d_safe", float("nan")), ("energy", "d_safe", float("inf")),
         ("energy", "lambda_b", float("nan")), ("energy", "lambda_b", float("inf")),
-        ("energy", "lambda_c", float("nan")), ("energy", "w_goal", float("nan"))])
+        ("energy", "lambda_c", float("nan")), ("energy", "w_goal", float("nan")),
+        # every section holds exactly its fields
+        pytest.param(None, "bogus", 1, id="top-unknown-key"),
+        pytest.param("sampler", "bogus", 1, id="sampler-unknown-key"),
+        pytest.param("energy", "bogus", 1, id="energy-unknown-key"),
+        pytest.param("lbp", "bogus", 1, id="lbp-unknown-key"),
+        pytest.param("lbp", "damping", MISSING, id="lbp-missing-key"),
+        pytest.param("sim", "hold_steps", MISSING, id="sim-missing-key"),
+        pytest.param("sampler", "v_max", MISSING, id="sampler-missing-key")])
     def test_invalid_config_value_exits_2(self, tmp_path, scenario_file, capsys,
                                           section, key, value):
-        cfg = RunConfig().to_dict()
-        cfg[section][key] = value
+        cfg = to_dict(RunConfig())
+        entries = cfg if section is None else cfg[section]
+        if value is MISSING:
+            del entries[key]
+        else:
+            entries[key] = value
         bad = tmp_path / "bad_config.json"
         with open(bad, "w") as fh:
             json.dump(cfg, fh)
         code = main(["--config", str(bad), "--out", str(tmp_path / "o"),
                      "plan", str(scenario_file)])
         assert code == 2
-        assert "malformed config file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and key in err
         assert not (tmp_path / "o").exists()
 
     def test_fractional_set_size_exits_2(self, tmp_path, scenario_file, capsys):
-        cfg = RunConfig().to_dict()
+        cfg = to_dict(RunConfig())
         cfg["variant"], cfg["set_size"] = "interpolated", 2.5
         bad = tmp_path / "bad_config.json"
         with open(bad, "w") as fh:
@@ -317,8 +345,18 @@ class TestCmdTrain:
                      "--divergence-threshold", "1e-12"])
         assert code == 4
 
-    @pytest.mark.parametrize("line", ['{"pasts": []}', "not json"])
+    @pytest.mark.parametrize("line", [
+        '{"pasts": []}', "not json",
+        # an edit of a valid record: a trajectory holds exactly its fields
+        pytest.param(lambda rec: rec["pasts"][0].update(bogus=1.0),
+                     id="trajectory-unknown-key"),
+        pytest.param(lambda rec: rec["futures"][1].pop("dt"),
+                     id="trajectory-missing-key")])
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, line):
+        if callable(line):
+            record = json.loads(self._dataset(tmp_path, n=1).read_text())
+            line(record)
+            line = json.dumps(record)
         data = tmp_path / "bad.jsonl"
         data.write_text(line + "\n")
         code = main(["--out", str(tmp_path / "o"), "train", str(data)])
@@ -426,8 +464,8 @@ class TestCmdSimulate:
         assert capsys.readouterr().out == ""
 
     def _one_variant_config(self, tmp_path, section=None, key=None, value=None):
-        cfg = RunConfig(sampler=SamplerConfig(k=2, horizon_steps=2),
-                        n_variants=1).to_dict()
+        cfg = to_dict(RunConfig(sampler=SamplerConfig(k=2, horizon_steps=2),
+                                n_variants=1))
         if section is not None:
             cfg[section][key] = value
         path = tmp_path / "one_variant.json"
