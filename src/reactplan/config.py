@@ -8,6 +8,7 @@ the values to the class's own constructor.
 """
 from __future__ import annotations
 
+import functools
 import json
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -33,22 +34,30 @@ def to_dict(obj) -> dict:
     return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field's resolved type; resolving costs more than a whole
+    trajectory's decoding, so it runs once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
 def from_dict(cls, data: dict):
     """The dataclass ``cls`` built from ``data``, which must hold exactly one
     key per field."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    names = {f.name for f in fields(cls)}
-    if data.keys() != names:
-        raise ValueError(f"{cls.__name__}: unknown keys {sorted(data.keys() - names)}, "
-                         f"missing keys {sorted(names - data.keys())}")
+    types = _field_types(cls)
+    unknown, missing = data.keys() - types.keys(), types.keys() - data.keys()
+    if unknown or missing:
+        raise ValueError(f"{cls.__name__}: unknown keys {sorted(unknown)}, "
+                         f"missing keys {sorted(missing)}")
 
     def value(hint, v):
         if is_dataclass(hint):
             return from_dict(hint, v)
         return tuple(v) if typing.get_origin(hint) is tuple else v
-    hints = typing.get_type_hints(cls)
-    return cls(**{name: value(hints[name], v) for name, v in data.items()})
+    return cls(**{name: value(types[name], v) for name, v in data.items()})
 
 
 @dataclass(frozen=True)
